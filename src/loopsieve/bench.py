@@ -17,16 +17,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import em
 from .cycles import minimum_cycle_basis
-from .factorgraph import (
-    FactorGraph,
-    InferenceMethod,
-    build_factor_graph,
-    exact_marginals,
-)
+from .factorgraph import InferenceMethod, build_factor_graph
 from .graph import PoseGraph, TruthLabel, loop_closure_edges
-from .infer_admm import AdmmOptions, run_admm
-from .infer_bp import run_bp
 from .model import DEFAULT_LC_CAP, ModelParams
 
 DEFAULT_SIGMA = math.radians(2.0)
@@ -72,17 +66,6 @@ class ClassificationResult:
         return 2 * self.tp / denom if denom > 0 else float("nan")
 
 
-def run_inference(fg: FactorGraph, params: ModelParams, method: InferenceMethod,
-                  admm_options: AdmmOptions | None = None):
-    if method is InferenceMethod.EXACT:
-        return exact_marginals(fg, params)
-    if method is InferenceMethod.BP:
-        return run_bp(fg, params)
-    if method is InferenceMethod.ADMM:
-        return run_admm(fg, params, admm_options)
-    raise ValueError(f"unknown inference method {method}")
-
-
 def result_from_marginals(
     g: PoseGraph,
     marginals: dict[int, float],
@@ -124,7 +107,6 @@ def classify(
     method: InferenceMethod = InferenceMethod.ADMM,
     threshold: float = DEFAULT_THRESHOLD,
     cap: int = DEFAULT_LC_CAP,
-    admm_options: AdmmOptions | None = None,
 ) -> ClassificationResult:
     """Classify every loop-closure edge of one graph.
 
@@ -137,7 +119,7 @@ def classify(
         params = ModelParams.from_graph(g, DEFAULT_SIGMA, DEFAULT_SIGMA_BAR)
     basis = minimum_cycle_basis(g)
     fg = build_factor_graph(g, basis, cap)
-    outcome = run_inference(fg, params, method, admm_options)
+    outcome = em.e_step(fg, params, method)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return result_from_marginals(
         g,
@@ -186,7 +168,6 @@ def run_benchmark(
     params_for: Callable[[PoseGraph], ModelParams] | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     threads: int = 1,
-    admm_options: AdmmOptions | None = None,
 ) -> tuple[list[BenchRow], list[BenchFailure]]:
     """Classify every graph with every method.
 
@@ -201,9 +182,7 @@ def run_benchmark(
         n_out = sum(1 for e in lc if e.truth is TruthLabel.OUTLIER)
         try:
             params = params_for(g) if params_for is not None else None
-            result = classify(
-                g, params, method, threshold, admm_options=admm_options
-            )
+            result = classify(g, params, method, threshold)
         except Exception as exc:  # noqa: BLE001 - recorded, run continues
             return BenchFailure(graph_id, method, str(exc))
         return BenchRow(

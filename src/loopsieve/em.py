@@ -22,8 +22,8 @@ from .factorgraph import (
     InferenceResult,
     exact_marginals,
 )
-from .infer_admm import AdmmOptions, run_admm
-from .infer_bp import DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL, run_bp
+from .infer_admm import run_admm
+from .infer_bp import run_bp
 from .model import (
     CycleDistribution,
     CycleFactor,
@@ -43,23 +43,32 @@ def default_sigma_bar_grid() -> tuple[float, ...]:
     return tuple(math.radians(5.0 * i) for i in range(1, 10))
 
 
+# EM stops once a round improves the Q value by less than this.
+LL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class EmConfig:
+    """Settings of one EM fit.
+
+    The (sigma, sigma_bar) M-step searches the two ascending grids. The fit
+    runs at most max_rounds rounds and stops early once Q improves by less
+    than LL_TOL. `inference` picks the E-step back-end, run with its
+    default settings (see :func:`e_step`). freeze_priors keeps the edge
+    priors fixed; include_psi adds the configuration-sum term to the
+    M-step objective.
+    """
+
     sigma_grid: tuple[float, ...] = field(default_factory=default_sigma_grid)
     sigma_bar_grid: tuple[float, ...] = field(default_factory=default_sigma_bar_grid)
     max_rounds: int = 20
     inference: InferenceMethod = InferenceMethod.EXACT
-    ll_tol: float = 1e-6
     freeze_priors: bool = False
     # The configuration-sum normalizer depends on the parameters, so putting
     # it in the M-step objective rewards shrinking it and drags sigma toward
     # the grid edge (measured: recovery drifts 2-3 grid steps). Off by
     # default; include_psi=True restores the term for comparison.
     include_psi: bool = False
-    admm_options: AdmmOptions = field(default_factory=AdmmOptions)
-    bp_max_iters: int = DEFAULT_MAX_ITERS
-    bp_tol: float = DEFAULT_TOL
-    bp_damping: float = DEFAULT_DAMPING
 
     def __post_init__(self) -> None:
         for name, grid in (("sigma_grid", self.sigma_grid), ("sigma_bar_grid", self.sigma_bar_grid)):
@@ -91,25 +100,20 @@ class EmTrace:
 
 
 def e_step(
-    fg: FactorGraph,
-    params: ModelParams,
-    method: InferenceMethod,
-    cfg: EmConfig | None = None,
+    fg: FactorGraph, params: ModelParams, method: InferenceMethod
 ) -> InferenceResult:
-    """Edge and cycle responsibilities under the current parameters."""
-    cfg = cfg or EmConfig()
+    """Edge and cycle responsibilities under the current parameters.
+
+    This is the library's one map from an InferenceMethod to its back-end,
+    each run with its default settings; `bench.classify` screens through
+    it too.
+    """
     if method is InferenceMethod.EXACT:
         return exact_marginals(fg, params)
     if method is InferenceMethod.BP:
-        return run_bp(
-            fg,
-            params,
-            max_iters=cfg.bp_max_iters,
-            tol=cfg.bp_tol,
-            damping=cfg.bp_damping,
-        )
+        return run_bp(fg, params)
     if method is InferenceMethod.ADMM:
-        return run_admm(fg, params, cfg.admm_options)
+        return run_admm(fg, params)
     raise ValueError(f"unknown inference method {method}")
 
 
@@ -215,7 +219,7 @@ def run_em(
     rounds: list[EmRound] = []
     previous_q: float | None = None
     for round_index in range(1, cfg.max_rounds + 1):
-        responsibilities = e_step(fg, params, cfg.inference, cfg)
+        responsibilities = e_step(fg, params, cfg.inference)
         data_ll = (
             data_log_likelihood(fg, params, cfg)
             if cfg.inference is InferenceMethod.EXACT
@@ -241,8 +245,8 @@ def run_em(
                 responsibilities.converged,
             )
         )
-        if previous_q is not None and q - previous_q < cfg.ll_tol:
+        if previous_q is not None and q - previous_q < LL_TOL:
             break
         previous_q = q
-    final = e_step(fg, params, cfg.inference, cfg)
+    final = e_step(fg, params, cfg.inference)
     return params, EmTrace(tuple(rounds)), final

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class FactorGraph:
     variables: tuple[int, ...]
     factors: tuple[CycleFactor, ...]
 
-    @property
+    @cached_property
     def var_factors(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {eid: [] for eid in self.variables}
         for f_idx, factor in enumerate(self.factors):
@@ -52,7 +53,7 @@ class FactorGraph:
                 out[eid].append(f_idx)
         return {eid: tuple(v) for eid, v in out.items()}
 
-    @property
+    @cached_property
     def covered_variables(self) -> tuple[int, ...]:
         in_cycle = {eid for f in self.factors for eid in f.lc_members}
         return tuple(eid for eid in self.variables if eid in in_cycle)
@@ -179,11 +180,3 @@ def exact_marginals(
         log_evidence=log_z,
     )
 
-
-def exact_log_evidence(fg: FactorGraph, params: ModelParams) -> float:
-    """log of the joint density summed over all configurations.
-
-    Prior terms of uncoupled edges each sum to exactly 1, so only the
-    coupled block matters.
-    """
-    return exact_marginals(fg, params).log_evidence

@@ -13,7 +13,14 @@ where row e of P_c indicates the configurations in which edge e is an
 inlier. The cycle subproblems are strongly convex QPs over the simplex,
 solved by accelerated projected gradient with an exact sort-based simplex
 projection; cycles of equal member count are solved in one vectorized
-batch. The penalty parameter adapts from the primal/dual residuals.
+batch.
+
+The penalty rho follows the residual-balancing rule of Boyd et al.,
+"Distributed Optimization and Statistical Learning via ADMM" (2011,
+section 3.4.1) for the first RHO_FREEZE_AFTER iterations: it doubles when
+the primal residual exceeds ten times the dual residual, halves in the
+opposite case, and stays within [1e-4, 1e4]. After that rho is fixed,
+which is plain ADMM with its convergence guarantee.
 """
 
 from __future__ import annotations
@@ -26,37 +33,30 @@ from .factorgraph import FactorGraph, InferenceResult
 from .model import CycleDistribution, ModelParams, cycle_conditional
 
 
+# Adapting rho forever can limit-cycle near the solution; after this many
+# iterations the penalty stays fixed, restoring plain (convergent) ADMM.
+RHO_FREEZE_AFTER = 100
+SUBPROBLEM_TOL = 1e-8
+SUBPROBLEM_MAX_ITERS = 10000
+
+
 @dataclass(frozen=True)
 class AdmmOptions:
-    """Solver knobs. rho_rule picks the penalty schedule:
+    """Solver settings.
 
-    - "balanced": grow rho when the primal residual dominates, shrink when
-      the dual residual dominates (the standard residual-balancing rule;
-      default because it is the one that actually drives consensus).
-    - "printed": the transposed variant implemented by :func:`update_rho`.
-    - "fixed": keep rho at rho0.
+    rho0 is the initial penalty. rho then follows residual balancing
+    (mu = 10, tau = 2, clipped to [1e-4, 1e4]; see :func:`update_rho`) for
+    RHO_FREEZE_AFTER = 100 iterations and stays fixed afterwards. The run
+    stops after max_iters iterations or once both residuals are at most
+    tol, scaled by the square root of the (edge, cycle) incidence count
+    when scale_tol is set. record_trace keeps per-iteration statistics.
     """
 
     rho0: float = 1.0
     max_iters: int = 500
     tol: float = 1e-6
     scale_tol: bool = True
-    mu: float = 10.0
-    tau_incr: float = 2.0
-    tau_decr: float = 2.0
-    rho_min: float = 1e-4
-    rho_max: float = 1e4
-    rho_rule: str = "balanced"
-    # Adapting rho forever can limit-cycle near the solution; after this many
-    # iterations the penalty stays fixed, restoring plain (convergent) ADMM.
-    rho_freeze_after: int = 100
-    subproblem_tol: float = 1e-8
-    subproblem_max_iters: int = 10000
     record_trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.rho_rule not in ("balanced", "printed", "fixed"):
-            raise ValueError(f"unknown rho_rule {self.rho_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ def solve_cycle_subproblem(
     y: np.ndarray,
     w_c: np.ndarray,
     rho: float,
-    tol: float = 1e-8,
-    max_iters: int = 10000,
+    tol: float = SUBPROBLEM_TOL,
+    max_iters: int = SUBPROBLEM_MAX_ITERS,
 ) -> np.ndarray:
     """Minimize ||v - v_hat||^2 + y^T P v + (rho/2)||P v - w_c||^2 on the simplex."""
     v_hat = np.asarray(v_hat, dtype=float)
@@ -190,7 +190,9 @@ def update_w(
 ) -> np.ndarray:
     """Average the per-cycle marginals (plus scaled duals) and clamp to [0, 1].
 
-    Edges in no cycle keep their previous value.
+    Each list entry holds one cycle, or a 2-D block of cycles one per row,
+    here and in :func:`update_duals` and :func:`residuals`. Edges in no
+    cycle keep their previous value.
     """
     numerator = np.zeros_like(w_prev)
     counts = np.zeros(w_prev.shape[0])
@@ -248,10 +250,9 @@ def update_rho(
     """Penalty schedule: grow when r <= mu t, shrink when t <= mu r, and
     leave rho unchanged when both tests fire at once.
 
-    Note the direction: this grows rho only when the dual residual
-    dominates. The consensus iteration itself defaults to the opposite,
-    residual-balancing direction (see AdmmOptions.rho_rule), which is what
-    makes the primal residual contract.
+    With r the dual and t the primal residual, as :func:`run_admm` calls
+    it, this is residual balancing: rho grows when the primal residual
+    exceeds mu times the dual one and shrinks in the opposite case.
     """
     if mu <= 1.0 or tau_incr <= 1.0 or tau_decr <= 1.0:
         raise ValueError("mu, tau_incr and tau_decr must all exceed 1")
@@ -262,24 +263,6 @@ def update_rho(
     elif shrink and not grow:
         rho = rho / tau_decr
     return float(np.clip(rho, rho_min, rho_max))
-
-
-def _next_rho(rho: float, r: float, t: float, opts: AdmmOptions) -> float:
-    if opts.rho_rule == "fixed":
-        return rho
-    if opts.rho_rule == "printed":
-        return update_rho(
-            rho, r, t,
-            mu=opts.mu, tau_incr=opts.tau_incr, tau_decr=opts.tau_decr,
-            rho_min=opts.rho_min, rho_max=opts.rho_max,
-        )
-    # "balanced": swap the residual roles so rho grows when the primal
-    # residual dominates and shrinks when the dual residual dominates.
-    return update_rho(
-        rho, t, r,
-        mu=opts.mu, tau_incr=opts.tau_incr, tau_decr=opts.tau_decr,
-        rho_min=opts.rho_min, rho_max=opts.rho_max,
-    )
 
 
 def run_admm(
@@ -296,47 +279,33 @@ def run_admm(
     variables = fg.variables
     var_index = {eid: i for i, eid in enumerate(variables)}
     n_edges = len(variables)
-    n_factors = len(fg.factors)
 
+    # Cycles of equal member count k form one group; every per-cycle array
+    # below is a list with one 2-D block per group, rows in factor order.
     groups: dict[int, list[int]] = {}
     for f_idx, factor in enumerate(fg.factors):
         groups.setdefault(len(factor.lc_members), []).append(f_idx)
-
-    p_matrices = {k: marginalization_matrix(k) for k in groups}
-    lam_max = {
-        k: float(np.linalg.eigvalsh(p @ p.T).max()) for k, p in p_matrices.items()
-    }
-    v_batches: dict[int, np.ndarray] = {}
-    v_hat_batches: dict[int, np.ndarray] = {}
-    y_batches: dict[int, np.ndarray] = {}
-    pos_batches: dict[int, np.ndarray] = {}
-    for k, f_indices in groups.items():
-        hats = np.stack(
-            [cycle_conditional(fg.factors[i], params).values for i in f_indices]
-        )
-        v_hat_batches[k] = hats
-        v_batches[k] = hats.copy()
-        y_batches[k] = np.zeros((len(f_indices), k))
-        pos_batches[k] = np.array(
+    p_matrices = [marginalization_matrix(k) for k in groups]
+    lam_max = [float(np.linalg.eigvalsh(p @ p.T).max()) for p in p_matrices]
+    v_hat = [
+        np.stack([cycle_conditional(fg.factors[i], params).values for i in f_indices])
+        for f_indices in groups.values()
+    ]
+    members_pos = [
+        np.array(
             [[var_index[eid] for eid in fg.factors[i].lc_members] for i in f_indices],
             dtype=int,
         )
-
-    def flatten(per_group: dict[int, np.ndarray]) -> list[np.ndarray]:
-        flat: list[np.ndarray] = [np.empty(0)] * n_factors
-        for k, f_indices in groups.items():
-            for row, f_idx in enumerate(f_indices):
-                flat[f_idx] = per_group[k][row]
-        return flat
-
-    members_pos = flatten(pos_batches)
+        for f_indices in groups.values()
+    ]
+    v = v_hat
+    duals = [np.zeros(pos.shape) for pos in members_pos]
     rho = opts.rho0
 
     # Warm start w at the average of the incident data-only marginals,
     # and uncovered edges at their prior.
     w = np.array([params.prior(eid) for eid in variables])
-    marginals = flatten({k: v_hat_batches[k] @ p_matrices[k].T for k in groups})
-    duals = flatten(y_batches)
+    marginals = [hats @ p.T for hats, p in zip(v_hat, p_matrices)]
     w = update_w(marginals, duals, members_pos, rho, w)
 
     n_rows = sum(len(f.lc_members) for f in fg.factors)
@@ -348,40 +317,29 @@ def run_admm(
     dual = float("nan")
     trace: list[AdmmIterationStats] = []
     for iterations in range(1, opts.max_iters + 1):
-        for k, f_indices in groups.items():
-            w_rows = w[pos_batches[k]]
-            v_batches[k] = _solve_batch(
-                v_batches[k],
-                v_hat_batches[k],
-                y_batches[k],
-                w_rows,
-                rho,
-                p_matrices[k],
-                lam_max[k],
-                opts.subproblem_tol,
-                opts.subproblem_max_iters,
+        v = [
+            _solve_batch(
+                v[g], v_hat[g], duals[g], w[members_pos[g]], rho,
+                p_matrices[g], lam_max[g], SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERS,
             )
-        marginals = flatten({k: v_batches[k] @ p_matrices[k].T for k in groups})
-        duals = flatten(y_batches)
+            for g in range(len(groups))
+        ]
+        marginals = [block @ p.T for block, p in zip(v, p_matrices)]
 
         w_prev = w
         w = update_w(marginals, duals, members_pos, rho, w_prev)
         duals = update_duals(duals, marginals, members_pos, w, rho)
-        for k, f_indices in groups.items():
-            y_batches[k] = np.stack([duals[f_idx] for f_idx in groups[k]])
 
         primal, dual = residuals(marginals, members_pos, w, w_prev, rho)
         if opts.record_trace:
-            sums = [float(np.abs(v_batches[k].sum(axis=1) - 1.0).max()) for k in groups]
-            mins = [float(v_batches[k].min()) for k in groups]
             trace.append(
                 AdmmIterationStats(
                     iterations,
                     primal,
                     dual,
                     rho,
-                    max(sums),
-                    min(mins),
+                    max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in v),
+                    min(float(block.min()) for block in v),
                     float(w.min()) if n_edges else 0.0,
                     float(w.max()) if n_edges else 0.0,
                 )
@@ -389,24 +347,22 @@ def run_admm(
         if primal <= eps and dual <= eps:
             converged = True
             break
-        if iterations >= opts.rho_freeze_after:
+        if iterations >= RHO_FREEZE_AFTER:
             continue
-        new_rho = _next_rho(rho, primal, dual, opts)
+        new_rho = update_rho(rho, dual, primal)
         if new_rho != rho:
             scale = new_rho / rho
-            for k in groups:
-                y_batches[k] = y_batches[k] * scale
+            duals = [y * scale for y in duals]
             rho = new_rho
 
     marginal_map = {eid: float(w[var_index[eid]]) for eid in variables}
-    v_flat = flatten(v_batches)
-    beliefs = []
-    for row in v_flat:
-        total = row.sum()
-        beliefs.append(CycleDistribution(np.maximum(row, 0.0) / total))
+    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
+    for f_indices, block in zip(groups.values(), v):
+        for f_idx, row in zip(f_indices, block):
+            beliefs[f_idx] = CycleDistribution(np.maximum(row, 0.0) / row.sum())
     return AdmmResult(
         edge_marginals=marginal_map,
-        cycle_beliefs=tuple(beliefs),
+        cycle_beliefs=tuple(beliefs),  # type: ignore[arg-type]
         converged=converged,
         iterations=iterations,
         rho_final=rho,

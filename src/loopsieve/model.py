@@ -124,11 +124,6 @@ class CycleDistribution:
         keep = (masks >> member_index) & 1 == 0
         return float(self.values[keep].sum())
 
-    def inlier_marginals(self) -> np.ndarray:
-        return np.array(
-            [self.inlier_marginal(j) for j in range(self.n_members)]
-        )
-
     def outlier_count_marginals(self) -> np.ndarray:
         """Distribution of the outlier count s; length n_members + 1."""
         masks = np.arange(self.values.shape[0])

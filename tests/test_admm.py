@@ -333,12 +333,6 @@ class TestRunAdmm:
         assert a.edge_marginals == b.edge_marginals
         assert a.iterations == b.iterations
 
-    def test_printed_rho_rule_is_available(self):
-        fg = three_cycle_factor_graph((0.15, 0.45, 0.3))
-        p = uniform_params(fg.variables)
-        result = run_admm(fg, p, AdmmOptions(rho_rule="printed", max_iters=50))
-        assert set(result.edge_marginals) == set(fg.variables)
-
     def test_classification_agreement_with_exact(self):
         # the shared-edge toy topology is the consensus relaxation's hardest
         # case (only three cycles, all overlapping); calibrated agreement on

@@ -118,6 +118,23 @@ class TestClassify:
         assert call.predicted is TruthLabel.INLIER  # 0.5 is not < 0.5
 
 
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    def test_dispatches_through_em_e_step(self, monkeypatch, method):
+        import loopsieve.em as em
+
+        seen = []
+        original = em.e_step
+
+        def counting(fg, params, m):
+            seen.append(m)
+            return original(fg, params, m)
+
+        monkeypatch.setattr(em, "e_step", counting)
+        result = classify(midpoint_graph(10, 3, seed=2, nodes_per_map=6), None, method)
+        assert seen == [method]
+        assert result.method is method
+
+
 class TestRunBenchmark:
     def make_items(self, n=4):
         items = []

@@ -23,6 +23,18 @@ def single_cycle_fg(z=0.3, k=3, n_fixed=2):
     return FactorGraph(tuple(range(k)), (CycleFactor(0, tuple(range(k)), n_fixed, z),))
 
 
+class TestIncidence:
+    def test_built_once_per_graph(self):
+        fg = FactorGraph((0, 1, 2, 9), (
+            CycleFactor(0, (0, 1), 0, 0.1),
+            CycleFactor(1, (1, 2), 0, 0.2),
+        ))
+        assert fg.var_factors is fg.var_factors
+        assert fg.covered_variables is fg.covered_variables
+        assert fg.var_factors == {0: (0,), 1: (0, 1), 2: (1,), 9: ()}
+        assert fg.covered_variables == (0, 1, 2)
+
+
 class TestVarToFactor:
     def test_single_cycle_message_is_prior(self):
         fg = single_cycle_fg()

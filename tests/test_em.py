@@ -295,6 +295,33 @@ class TestRunEm:
             assert math.isnan(trace.rounds[0].data_log_likelihood)
             assert params.sigma_bar > params.sigma
 
+    def test_admm_fit_reaches_module_globals(self, monkeypatch):
+        # run_em must look e_step and run_admm up in loopsieve.em at call
+        # time, so that wrappers installed there see every call
+        import loopsieve.em as em
+
+        calls = {"e_step": 0, "run_admm": 0}
+
+        def counting(name):
+            original = getattr(em, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(em, name, wrapper)
+
+        counting("e_step")
+        counting("run_admm")
+        g = gaussian_model_graph(8, 2, 6, SIGMA_TRUE, SIGMA_BAR_TRUE, seed=5)
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        init = ModelParams(math.radians(3), math.radians(25), lc_priors(g))
+        cfg = EmConfig(max_rounds=3, inference=InferenceMethod.ADMM)
+        _, trace, _ = run_em(fg, init, cfg)
+        # one E-step per round plus the final one under the fitted params
+        assert calls["e_step"] == len(trace.rounds) + 1
+        assert calls["run_admm"] == calls["e_step"]
+
     def test_monotone_likelihood_with_psi_included(self):
         # the printed objective variant must still be monotone (generalized
         # EM), even though its sigma estimates drift
