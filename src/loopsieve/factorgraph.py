@@ -32,6 +32,25 @@ from .model import (
 EXACT_ENUMERATION_LIMIT = 22
 
 
+@dataclass(frozen=True)
+class CycleGroup:
+    """The factors with k loop-closure members.
+
+    factors holds their indices in factor order; row r of rows holds the
+    incidence rows of factor factors[r], one per member in member order.
+    """
+
+    k: int
+    factors: np.ndarray
+    rows: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Freeze an array cached on a FactorGraph; every back-end run shares it."""
+    array.setflags(write=False)
+    return array
+
+
 class InferenceMethod(Enum):
     BP = "bp"
     ADMM = "admm"
@@ -40,7 +59,12 @@ class InferenceMethod(Enum):
 
 @dataclass(frozen=True)
 class FactorGraph:
-    """Variables are loop-closure edge ids; factors are basis cycles."""
+    """Variables are loop-closure edge ids; factors are basis cycles.
+
+    An incidence is one (factor, member) pair. Incidence rows are numbered
+    in factor order, members in member order, so the rows of factor f are
+    contiguous; the array-backed views below are built once per graph.
+    """
 
     variables: tuple[int, ...]
     factors: tuple[CycleFactor, ...]
@@ -57,6 +81,44 @@ class FactorGraph:
     def covered_variables(self) -> tuple[int, ...]:
         in_cycle = {eid for f in self.factors for eid in f.lc_members}
         return tuple(eid for eid in self.variables if eid in in_cycle)
+
+    @cached_property
+    def incidence_var(self) -> np.ndarray:
+        """Position in variables of each incidence row's member."""
+        index = {eid: i for i, eid in enumerate(self.variables)}
+        return _read_only(np.array(
+            [index[eid] for f in self.factors for eid in f.lc_members], dtype=np.intp
+        ))
+
+    @cached_property
+    def cycle_groups(self) -> tuple[CycleGroup, ...]:
+        """Factors grouped by member count k, groups in first-appearance order."""
+        by_k: dict[int, list[int]] = {}
+        for f_idx, factor in enumerate(self.factors):
+            by_k.setdefault(len(factor.lc_members), []).append(f_idx)
+        starts = np.cumsum([0] + [len(f.lc_members) for f in self.factors])
+        return tuple(
+            CycleGroup(
+                k,
+                _read_only(np.array(f_indices, dtype=np.intp)),
+                _read_only(starts[f_indices][:, None] + np.arange(k, dtype=np.intp)),
+            )
+            for k, f_indices in by_k.items()
+        )
+
+    @cached_property
+    def var_incidences(self) -> np.ndarray:
+        """(variables, max degree) incidence rows of each variable, in factor
+        order, padded with the sentinel row len(incidence_var)."""
+        sentinel = len(self.incidence_var)
+        per_var: list[list[int]] = [[] for _ in self.variables]
+        for row, var in enumerate(self.incidence_var):
+            per_var[var].append(row)
+        degree = max((len(rows) for rows in per_var), default=0)
+        out = np.full((len(self.variables), degree), sentinel, dtype=np.intp)
+        for var, rows in enumerate(per_var):
+            out[var, : len(rows)] = rows
+        return _read_only(out)
 
 
 @dataclass(frozen=True)

@@ -277,27 +277,18 @@ def run_admm(
     """
     opts = opts or AdmmOptions()
     variables = fg.variables
-    var_index = {eid: i for i, eid in enumerate(variables)}
     n_edges = len(variables)
 
     # Cycles of equal member count k form one group; every per-cycle array
     # below is a list with one 2-D block per group, rows in factor order.
-    groups: dict[int, list[int]] = {}
-    for f_idx, factor in enumerate(fg.factors):
-        groups.setdefault(len(factor.lc_members), []).append(f_idx)
-    p_matrices = [marginalization_matrix(k) for k in groups]
+    groups = fg.cycle_groups
+    p_matrices = [marginalization_matrix(group.k) for group in groups]
     lam_max = [float(np.linalg.eigvalsh(p @ p.T).max()) for p in p_matrices]
     v_hat = [
-        np.stack([cycle_conditional(fg.factors[i], params).values for i in f_indices])
-        for f_indices in groups.values()
+        np.stack([cycle_conditional(fg.factors[i], params).values for i in group.factors])
+        for group in groups
     ]
-    members_pos = [
-        np.array(
-            [[var_index[eid] for eid in fg.factors[i].lc_members] for i in f_indices],
-            dtype=int,
-        )
-        for f_indices in groups.values()
-    ]
+    members_pos = [fg.incidence_var[group.rows] for group in groups]
     v = v_hat
     duals = [np.zeros(pos.shape) for pos in members_pos]
     rho = opts.rho0
@@ -308,7 +299,7 @@ def run_admm(
     marginals = [hats @ p.T for hats, p in zip(v_hat, p_matrices)]
     w = update_w(marginals, duals, members_pos, rho, w)
 
-    n_rows = sum(len(f.lc_members) for f in fg.factors)
+    n_rows = len(fg.incidence_var)
     eps = opts.tol * (np.sqrt(max(n_rows, 1)) if opts.scale_tol else 1.0)
 
     converged = False
@@ -338,8 +329,9 @@ def run_admm(
                     primal,
                     dual,
                     rho,
-                    max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in v),
-                    min(float(block.min()) for block in v),
+                    max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in v)
+                    if v else 0.0,
+                    min(float(block.min()) for block in v) if v else 0.0,
                     float(w.min()) if n_edges else 0.0,
                     float(w.max()) if n_edges else 0.0,
                 )
@@ -355,10 +347,10 @@ def run_admm(
             duals = [y * scale for y in duals]
             rho = new_rho
 
-    marginal_map = {eid: float(w[var_index[eid]]) for eid in variables}
+    marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
     beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
-    for f_indices, block in zip(groups.values(), v):
-        for f_idx, row in zip(f_indices, block):
+    for group, block in zip(groups, v):
+        for f_idx, row in zip(group.factors, block):
             beliefs[f_idx] = CycleDistribution(np.maximum(row, 0.0) / row.sum())
     return AdmmResult(
         edge_marginals=marginal_map,

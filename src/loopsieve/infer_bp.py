@@ -1,11 +1,20 @@
 """Loopy belief propagation on the edge/cycle factor graph.
 
-Messages are 2-vectors over {inlier, outlier}, normalized to sum 1. Updates
-run in a fixed deterministic schedule (factors in id order, then variables
-in id order) and are damped: new = damping * old + (1 - damping) * computed.
-Cycle factors depend on a configuration only through its outlier count, so
-factor-to-variable messages marginalize via an O(k^2) counting convolution
-instead of 2^(k-1) enumeration.
+Messages are 2-vectors over {inlier, outlier}, normalized to sum 1. The
+schedule is synchronous and two-phase (flooding; Murphy, Weiss & Jordan,
+UAI 1999): each iteration computes every factor-to-variable message from
+the previous variable-to-factor messages, then every variable-to-factor
+message from the new factor-to-variable messages. Updates are damped:
+new = damping * old + (1 - damping) * computed. Cycle factors depend on a
+configuration only through its outlier count, so factor-to-variable
+messages marginalize via an O(k^2) counting convolution instead of
+2^(k-1) enumeration.
+
+:func:`run_bp` keeps all messages in arrays indexed by incidence row (see
+:class:`~loopsieve.factorgraph.FactorGraph`) and updates them in batches,
+one per cycle size k. The per-message functions (:func:`init_messages`,
+:func:`factor_to_var`, :func:`var_to_factor`) compute single messages with
+the same arithmetic; the tests use them as the reference for the batches.
 """
 
 from __future__ import annotations
@@ -50,9 +59,10 @@ def likelihood_weights(factor, params: ModelParams) -> np.ndarray:
     return np.exp(table - table.max())
 
 
-def _normalize(vec: np.ndarray) -> np.ndarray:
-    clipped = np.maximum(vec, MESSAGE_FLOOR)
-    return clipped / clipped.sum()
+def _normalize(msgs: np.ndarray) -> np.ndarray:
+    """Clip at MESSAGE_FLOOR and scale to sum 1: one message, or each row."""
+    clipped = np.maximum(msgs, MESSAGE_FLOOR)
+    return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
 def var_to_factor(
@@ -140,6 +150,34 @@ def init_messages(fg: FactorGraph, params: ModelParams) -> MessageState:
     return MessageState(to_var, to_factor)
 
 
+def _factor_messages(
+    to_factor: np.ndarray, rows: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """factor_to_var for every incidence of one k group, at once.
+
+    rows is the group's (F, k) incidence matrix and weights its (F, k + 1)
+    likelihood weights; out[r, j] is the message along incidence rows[r, j].
+    """
+    n_factors, k = rows.shape
+    incoming = to_factor[rows]
+    out = np.empty((n_factors, k, 2))
+    for j in range(k):
+        poly = np.ones((n_factors, 1))
+        for member in range(k):
+            if member == j:
+                continue
+            nxt = np.zeros((n_factors, poly.shape[1] + 1))
+            nxt[:, :-1] += poly * incoming[:, member, 0:1]
+            nxt[:, 1:] += poly * incoming[:, member, 1:2]
+            poly = nxt
+        # A stacked (1, k) @ (k, 1) product adds in the same order as the
+        # 1-D dot of factor_to_var, so each message is bit-identical.
+        stacked = poly[:, None, :]
+        out[:, j, 0] = (stacked @ weights[:, :k, None])[:, 0, 0]
+        out[:, j, 1] = (stacked @ weights[:, 1:, None])[:, 0, 0]
+    return out
+
+
 def run_bp(
     fg: FactorGraph,
     params: ModelParams,
@@ -148,53 +186,71 @@ def run_bp(
     damping: float = DEFAULT_DAMPING,
 ) -> InferenceResult:
     """Damped loopy BP; non-convergence yields best-effort beliefs."""
-    state = init_messages(fg, params)
-    weights = [likelihood_weights(f, params) for f in fg.factors]
-    var_factors = fg.var_factors
+    groups = fg.cycle_groups
+    weights = [
+        np.stack([likelihood_weights(fg.factors[f], params) for f in group.factors])
+        for group in groups
+    ]
+    inc_var = fg.incidence_var
+    n_inc = len(inc_var)
+    var_rows = fg.var_incidences
+    pi = np.array([params.prior(eid) for eid in fg.variables])
+    prior = np.stack([pi, 1.0 - pi], axis=1)
+    inc_prior = prior[inc_var]
+    # Row i of others lists the other factor->variable messages into i's
+    # variable, in factor order; its own slot points at the sentinel row.
+    others = var_rows[inc_var]
+    others[others == np.arange(n_inc)[:, None]] = n_inc
+
+    # to_var carries the sentinel row n_inc, fixed at exactly 1.0.
+    to_var = np.full((n_inc + 1, 2), 0.5)
+    to_var[n_inc] = 1.0
+    to_factor = inc_prior
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        delta = 0.0
-        for f_idx, factor in enumerate(fg.factors):
-            for eid in factor.lc_members:
-                fresh = factor_to_var(state, fg, params, f_idx, eid, weights[f_idx])
-                old = state.to_var[(f_idx, eid)]
-                blended = _normalize(damping * old + (1.0 - damping) * fresh)
-                delta = max(delta, float(np.max(np.abs(blended - old))))
-                state.to_var[(f_idx, eid)] = blended
-        for eid in fg.variables:
-            for f_idx in var_factors[eid]:
-                fresh = var_to_factor(state, fg, params, eid, f_idx)
-                old = state.to_factor[(eid, f_idx)]
-                blended = _normalize(damping * old + (1.0 - damping) * fresh)
-                delta = max(delta, float(np.max(np.abs(blended - old))))
-                state.to_factor[(eid, f_idx)] = blended
+        fresh = np.empty((n_inc, 2))
+        for group, w in zip(groups, weights):
+            fresh[group.rows] = _factor_messages(to_factor, group.rows, w)
+        fresh = _normalize(fresh)
+        old = to_var[:n_inc]
+        blended = _normalize(damping * old + (1.0 - damping) * fresh)
+        delta = float(np.abs(blended - old).max(initial=0.0))
+        to_var[:n_inc] = blended
+
+        fresh = inc_prior
+        for d in range(others.shape[1]):
+            fresh = fresh * to_var[others[:, d]]
+        fresh = _normalize(fresh)
+        blended = _normalize(damping * to_factor + (1.0 - damping) * fresh)
+        delta = max(delta, float(np.abs(blended - to_factor).max(initial=0.0)))
+        to_factor = blended
         if delta < tol:
             converged = True
             break
 
-    marginals: dict[int, float] = {}
-    for eid in fg.variables:
-        belief = prior_message(params, eid).copy()
-        for f_idx in var_factors[eid]:
-            belief = belief * state.to_var[(f_idx, eid)]
-        belief = _normalize(belief)
-        marginals[eid] = float(belief[0])
+    belief = prior
+    for d in range(var_rows.shape[1]):
+        belief = belief * to_var[var_rows[:, d]]
+    belief = _normalize(belief)
+    marginals = {eid: float(b) for eid, b in zip(fg.variables, belief[:, 0])}
 
-    beliefs = []
-    for f_idx, factor in enumerate(fg.factors):
-        k = len(factor.lc_members)
-        masks = np.arange(1 << k)
-        log_b = np.zeros(1 << k)
-        counts = np.zeros(1 << k, dtype=int)
-        for j, member in enumerate(factor.lc_members):
+    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
+    log_msg = np.log(np.maximum(to_factor, MESSAGE_FLOOR))
+    for group, w in zip(groups, weights):
+        masks = np.arange(1 << group.k)
+        log_b = np.zeros((len(group.factors), 1 << group.k))
+        counts = np.zeros(1 << group.k, dtype=int)
+        for j in range(group.k):
             bit = (masks >> j) & 1
             counts += bit
-            msg = np.maximum(state.to_factor[(member, f_idx)], MESSAGE_FLOOR)
-            log_b += np.where(bit == 1, np.log(msg[1]), np.log(msg[0]))
-        log_b += np.log(np.maximum(weights[f_idx][counts], MESSAGE_FLOOR))
-        log_b -= log_b.max()
+            member = log_msg[group.rows[:, j]]
+            log_b += np.where(bit == 1, member[:, 1:2], member[:, 0:1])
+        log_b += np.log(np.maximum(w[:, counts], MESSAGE_FLOOR))
+        log_b -= log_b.max(axis=1, keepdims=True)
         b = np.exp(log_b)
-        beliefs.append(CycleDistribution(b / b.sum()))
+        b /= b.sum(axis=1, keepdims=True)
+        for f_idx, row in zip(group.factors, b):
+            beliefs[f_idx] = CycleDistribution(row)
 
-    return InferenceResult(marginals, tuple(beliefs), converged, iterations)
+    return InferenceResult(marginals, tuple(beliefs), converged, iterations)  # type: ignore[arg-type]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import three_cycle_factor_graph, uniform_params
-from loopsieve.factorgraph import FactorGraph, exact_marginals
+from loopsieve.cycles import minimum_cycle_basis
+from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
 from loopsieve.infer_admm import (
     AdmmOptions,
     marginalization_matrix,
@@ -17,6 +18,7 @@ from loopsieve.infer_admm import (
     update_w,
 )
 from loopsieve.model import CycleFactor, ModelParams, cycle_conditional
+from loopsieve.synth import SynthSpec, generate
 
 
 def subproblem_objective(v, v_hat, y, w_c, rho, p_matrix):
@@ -279,6 +281,40 @@ class TestRunAdmm:
         p = ModelParams(0.03, 0.3, {0: 0.5, 1: 0.5, 7: 0.61})
         result = run_admm(fg, p)
         assert result.edge_marginals[7] == pytest.approx(0.61)
+
+    def test_trace_without_cycle_factors(self):
+        fg = FactorGraph((1,), ())
+        p = ModelParams(0.03, 0.3, {1: 0.5})
+        result = run_admm(fg, p, AdmmOptions(record_trace=True))
+        assert result.converged and result.iterations == 1
+        assert result.edge_marginals == {1: 0.5}
+        row = result.trace[0]
+        assert (row.max_simplex_gap, row.min_v) == (0.0, 0.0)
+        assert (row.w_min, row.w_max) == (0.5, 0.5)
+
+    def test_groups_on_golden_em_graph(self):
+        # The golden EM fit (tests/test_golden.py) runs run_admm on this
+        # graph; its cycle blocks must be the first-appearance grouping by k
+        # with rows in factor order, which fixes np.add.at's summation order.
+        g = generate(SynthSpec(m_lc=30, num_outliers=6, nodes_per_map=8, seed=5))
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        expected: dict[int, list[int]] = {}
+        for f_idx, factor in enumerate(fg.factors):
+            expected.setdefault(len(factor.lc_members), []).append(f_idx)
+        groups = fg.cycle_groups
+        assert [(grp.k, grp.factors.tolist()) for grp in groups] == list(expected.items())
+        position = {eid: i for i, eid in enumerate(fg.variables)}
+        for grp in groups:
+            assert fg.incidence_var[grp.rows].tolist() == [
+                [position[eid] for eid in fg.factors[i].lc_members] for i in grp.factors
+            ]
+        p = ModelParams.from_graph(g, math.radians(4.0), math.radians(30.0))
+        a = run_admm(fg, p)
+        b = run_admm(FactorGraph(fg.variables, fg.factors), p)
+        assert a.edge_marginals == b.edge_marginals
+        assert [x.values.tolist() for x in a.cycle_beliefs] == [
+            x.values.tolist() for x in b.cycle_beliefs
+        ]
 
     def test_convergence_study_three_cycles(self):
         # 100 random instances on the shared-edge topology must reach

@@ -6,10 +6,14 @@ import pytest
 from conftest import three_cycle_factor_graph, uniform_params
 from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
 from loopsieve.infer_bp import (
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    MESSAGE_FLOOR,
     MessageState,
     factor_to_var,
     factor_to_var_enumerated,
     init_messages,
+    likelihood_weights,
     prior_message,
     run_bp,
     var_to_factor,
@@ -23,6 +27,65 @@ def single_cycle_fg(z=0.3, k=3, n_fixed=2):
     return FactorGraph(tuple(range(k)), (CycleFactor(0, tuple(range(k)), n_fixed, z),))
 
 
+def mixed_k_fg(rng):
+    """Cycle sizes 1..4 interleaved; edge 0 sits in three cycles, edge 9 in none."""
+    members = [(0,), (0, 1), (1, 2, 3), (0, 2, 4, 5), (5, 6), (3, 6, 7), (7,)]
+    factors = tuple(
+        CycleFactor(c, m, int(rng.integers(0, 4)), float(rng.uniform(0.0, 0.8)))
+        for c, m in enumerate(members)
+    )
+    return FactorGraph((0, 1, 2, 3, 4, 5, 6, 7, 9), factors)
+
+
+def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
+    """BP one message at a time: all factor messages from the old variable
+    messages, then all variable messages from the new factor messages."""
+
+    def blend(old, fresh):
+        mixed = np.maximum(damping * old + (1.0 - damping) * fresh, MESSAGE_FLOOR)
+        return mixed / mixed.sum()
+
+    state = init_messages(fg, params)
+    weights = [likelihood_weights(f, params) for f in fg.factors]
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        delta = 0.0
+        for f_idx, factor in enumerate(fg.factors):
+            for eid in factor.lc_members:
+                old = state.to_var[(f_idx, eid)]
+                new = blend(old, factor_to_var(state, fg, params, f_idx, eid, weights[f_idx]))
+                delta = max(delta, float(np.max(np.abs(new - old))))
+                state.to_var[(f_idx, eid)] = new
+        for eid in fg.variables:
+            for f_idx in fg.var_factors[eid]:
+                old = state.to_factor[(eid, f_idx)]
+                new = blend(old, var_to_factor(state, fg, params, eid, f_idx))
+                delta = max(delta, float(np.max(np.abs(new - old))))
+                state.to_factor[(eid, f_idx)] = new
+        if delta < tol:
+            converged = True
+            break
+
+    marginals = {}
+    for eid in fg.variables:
+        belief = prior_message(params, eid)
+        for f_idx in fg.var_factors[eid]:
+            belief = belief * state.to_var[(f_idx, eid)]
+        marginals[eid] = belief[0] / belief.sum()
+    beliefs = []
+    for f_idx, factor in enumerate(fg.factors):
+        k = len(factor.lc_members)
+        values = np.empty(1 << k)
+        for mask in range(1 << k):
+            bits = [(mask >> j) & 1 for j in range(k)]
+            term = weights[f_idx][sum(bits)]
+            for bit, eid in zip(bits, factor.lc_members):
+                term *= state.to_factor[(eid, f_idx)][bit]
+            values[mask] = term
+        beliefs.append(values / values.sum())
+    return marginals, beliefs, iterations, converged
+
+
 class TestIncidence:
     def test_built_once_per_graph(self):
         fg = FactorGraph((0, 1, 2, 9), (
@@ -33,6 +96,88 @@ class TestIncidence:
         assert fg.covered_variables is fg.covered_variables
         assert fg.var_factors == {0: (0,), 1: (0, 1), 2: (1,), 9: ()}
         assert fg.covered_variables == (0, 1, 2)
+
+    def test_cycle_groups_in_first_appearance_order(self, rng):
+        fg = mixed_k_fg(rng)
+        groups = fg.cycle_groups
+        assert groups is fg.cycle_groups
+        assert [g.k for g in groups] == [1, 2, 3, 4]
+        assert [g.factors.tolist() for g in groups] == [[0, 6], [1, 4], [2, 5], [3]]
+        # incidence rows run through the factors in order, members in order
+        starts = np.cumsum([0] + [len(f.lc_members) for f in fg.factors])
+        for g in groups:
+            assert g.rows.shape == (len(g.factors), g.k)
+            for f_idx, rows in zip(g.factors, g.rows):
+                assert rows.tolist() == list(range(starts[f_idx], starts[f_idx] + g.k))
+                members = [fg.variables[v] for v in fg.incidence_var[rows]]
+                assert members == list(fg.factors[f_idx].lc_members)
+
+    def test_var_incidences_padded_in_factor_order(self, rng):
+        fg = mixed_k_fg(rng)
+        sentinel = len(fg.incidence_var)
+        assert sentinel == sum(len(f.lc_members) for f in fg.factors)
+        table = fg.var_incidences
+        assert table is fg.var_incidences
+        assert table.shape == (len(fg.variables), 3)
+        factor_of = np.repeat(
+            np.arange(len(fg.factors)), [len(f.lc_members) for f in fg.factors]
+        )
+        for eid, rows in zip(fg.variables, table):
+            real = [r for r in rows.tolist() if r != sentinel]
+            assert rows.tolist() == real + [sentinel] * (3 - len(real))
+            assert tuple(factor_of[real]) == fg.var_factors[eid]
+        assert table[fg.variables.index(9)].tolist() == [sentinel] * 3
+
+    def test_cached_arrays_are_read_only(self, rng):
+        fg = mixed_k_fg(rng)
+        arrays = [fg.incidence_var, fg.var_incidences]
+        arrays += [a for g in fg.cycle_groups for a in (g.factors, g.rows)]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_no_factors(self):
+        fg = FactorGraph((1,), ())
+        assert fg.cycle_groups == ()
+        assert fg.incidence_var.shape == (0,)
+        assert fg.var_incidences.shape == (1, 0)
+
+
+class TestBatchedMatchesReference:
+    """run_bp against the per-message loop above: same schedule, same stop."""
+
+    def check(self, fg, p, damping):
+        marginals, beliefs, iterations, converged = reference_bp(fg, p, damping)
+        result = run_bp(fg, p, damping=damping)
+        assert result.iterations == iterations
+        assert result.converged == converged
+        for eid in fg.variables:
+            assert result.edge_marginals[eid] == pytest.approx(marginals[eid], abs=1e-12)
+        for got, want in zip(result.cycle_beliefs, beliefs, strict=True):
+            assert got.values == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_mixed_cycle_sizes(self, rng, damping):
+        for _ in range(5):
+            fg = mixed_k_fg(rng)
+            priors = {eid: float(rng.uniform(0.1, 0.9)) for eid in fg.variables}
+            self.check(fg, ModelParams(0.03, 0.3, priors), damping)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_synth_graph(self, damping):
+        # seed 3 gives cycles with 2 and with 4 loop closures
+        g = generate(SynthSpec(m_lc=12, num_outliers=3, nodes_per_map=6, seed=3))
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        assert {grp.k for grp in fg.cycle_groups} == {2, 4}
+        self.check(fg, ModelParams.from_graph(g, math.radians(2), math.radians(20)), damping)
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_no_factors(self, damping):
+        fg = FactorGraph((1,), ())
+        self.check(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping)
+        result = run_bp(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping=damping)
+        assert result.edge_marginals == {1: pytest.approx(0.3)}
+        assert result.cycle_beliefs == ()
 
 
 class TestVarToFactor:

@@ -46,6 +46,28 @@ def test_infer_admm_trace(tmp_path):
     assert len(lines) > 1
 
 
+def test_infer_admm_trace_without_cycles(tmp_path):
+    # one loop closure joining two maps closes no cycle: the factor graph
+    # has a variable but no cycle factor
+    graph_file = tmp_path / "tree.pgraph"
+    graph_file.write_text(
+        "PGRAPH 1\n"
+        "NODE 0 0\n"
+        "NODE 1 0\n"
+        "NODE 2 1\n"
+        "EDGE EGO 0 0 1 1 0 0 0 1 0 0 0 1 PRIOR 1\n"
+        "EDGE LC 1 1 2 1 0 0 0 1 0 0 0 1 PRIOR 0.7\n"
+    )
+    trace_file = tmp_path / "trace.csv"
+    result = CliRunner().invoke(
+        main,
+        ["infer", str(graph_file), "--method", "admm", "--trace", str(trace_file)],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[:2] == ["edge_id\tp_inlier", "1\t0.700000000"]
+    assert trace_file.read_text().splitlines() == ["iter,r,t,rho", "1,0,0,1"]
+
+
 def test_classify_tsv(tmp_path):
     graph_file = write_small_graph(tmp_path / "g.pgraph")
     result = CliRunner().invoke(
