@@ -6,6 +6,9 @@ responsibility, and picks the (sigma, sigma_bar) grid pair maximizing the
 expected log-likelihood of the cycle errors. The expected likelihood of a
 cycle depends on its configuration only through the outlier count, so the
 objective is evaluated from count marginals (k + 1 terms instead of 2^k).
+The whole grid is scored as one table per M-step: log p(z | s) for every
+(cycle, s) row under every candidate pair, times the stacked count
+marginals, with ties going to the first (smallest) pair.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .model import (
     CycleDistribution,
     CycleFactor,
     ModelParams,
-    log_cycle_likelihood,
-    log_psi,
+    log_likelihood_rows,
+    log_psi_table,
 )
 
 
@@ -127,20 +130,24 @@ def m_step_priors(
     }
 
 
-def expected_cycle_term(
-    factor: CycleFactor,
-    count_marginals: np.ndarray,
-    params: ModelParams,
-    include_psi: bool = True,
-) -> float:
-    """Expected log-likelihood of one cycle under its count responsibilities."""
-    total = 0.0
-    for s, weight in enumerate(count_marginals):
-        if weight > 0.0:
-            total += float(weight) * log_cycle_likelihood(factor, s, params)
+def expected_log_likelihoods(
+    factors: Sequence[CycleFactor],
+    cycle_beliefs: Sequence[CycleDistribution],
+    pairs: Sequence[tuple[float, float]],
+    include_psi: bool,
+) -> np.ndarray:
+    """Expected log-likelihood of all cycles under each (sigma, sigma_bar)
+    pair: one weighted sum of its row of log_likelihood_rows, weighted by
+    the beliefs' outlier-count marginals stacked in factor order."""
+    weights = np.concatenate(
+        [np.zeros(0)] + [b.outlier_count_marginals() for b in cycle_beliefs]
+    )
+    table = log_likelihood_rows(factors, pairs)
+    # a row-wise sum, so that equal rows score equal and ties stay ties
+    values = (table * weights).sum(axis=1)
     if include_psi:
-        total -= log_psi(factor, params)
-    return total
+        values -= log_psi_table(factors, table).sum(axis=1)
+    return values
 
 
 def m_step_sigmas(
@@ -150,25 +157,17 @@ def m_step_sigmas(
 ) -> tuple[float, float]:
     """Grid-search the noise scales; ties break toward smaller values.
 
-    Only pairs with sigma_bar > sigma are candidates.
+    Only pairs with sigma_bar > sigma are candidates; with no factors the
+    first candidate wins.
     """
-    count_margs = [b.outlier_count_marginals() for b in cycle_beliefs]
-    best: tuple[float, float] | None = None
-    best_value = -math.inf
-    for sigma in cfg.sigma_grid:
-        for sigma_bar in cfg.sigma_bar_grid:
-            if sigma_bar <= sigma:
-                continue
-            candidate = ModelParams(sigma, sigma_bar)
-            value = sum(
-                expected_cycle_term(f, qc, candidate, cfg.include_psi)
-                for f, qc in zip(factors, count_margs)
-            )
-            if value > best_value:
-                best_value = value
-                best = (sigma, sigma_bar)
-    assert best is not None
-    return best
+    pairs = [
+        (sigma, sigma_bar)
+        for sigma in cfg.sigma_grid
+        for sigma_bar in cfg.sigma_bar_grid
+        if sigma_bar > sigma
+    ]
+    values = expected_log_likelihoods(factors, cycle_beliefs, pairs, cfg.include_psi)
+    return pairs[int(np.argmax(values))]
 
 
 def q_value(
@@ -187,19 +186,13 @@ def q_value(
             total += gamma * (math.log(pi) if pi > 0 else -math.inf)
         if gamma < 1.0:
             total += (1.0 - gamma) * (math.log1p(-pi) if pi < 1 else -math.inf)
-    for factor, belief in zip(fg.factors, responsibilities.cycle_beliefs):
-        total += expected_cycle_term(
-            factor, belief.outlier_count_marginals(), params, cfg.include_psi
-        )
-    return total
-
-
-def data_log_likelihood(fg: FactorGraph, params: ModelParams, cfg: EmConfig) -> float:
-    """Exact observed-data log-likelihood (small graphs only)."""
-    value = exact_marginals(fg, params).log_evidence
-    if cfg.include_psi:
-        value -= sum(log_psi(f, params) for f in fg.factors)
-    return value
+    cycles = expected_log_likelihoods(
+        fg.factors,
+        responsibilities.cycle_beliefs,
+        [(params.sigma, params.sigma_bar)],
+        cfg.include_psi,
+    )
+    return total + float(cycles[0])
 
 
 def run_em(
@@ -220,11 +213,11 @@ def run_em(
     previous_q: float | None = None
     for round_index in range(1, cfg.max_rounds + 1):
         responsibilities = e_step(fg, params, cfg.inference)
-        data_ll = (
-            data_log_likelihood(fg, params, cfg)
-            if cfg.inference is InferenceMethod.EXACT
-            else float("nan")
-        )
+        # log_evidence is NaN unless the E-step is exact enumeration
+        data_ll = responsibilities.log_evidence
+        if cfg.include_psi and cfg.inference is InferenceMethod.EXACT:
+            table = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])
+            data_ll -= float(log_psi_table(fg.factors, table).sum())
         priors = (
             dict(params.priors)
             if cfg.freeze_priors

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult
-from .model import CycleDistribution, ModelParams, cycle_conditional
+from .model import CycleDistribution, ModelParams, cycle_conditionals
 
 
 # Adapting rho forever can limit-cycle near the solution; after this many
@@ -181,6 +181,11 @@ def solve_cycle_subproblem(
     return out[0]
 
 
+def _in_group_order(blocks: list[np.ndarray], dtype=float) -> np.ndarray:
+    """The blocks' entries concatenated: blocks in order, each in row order."""
+    return np.concatenate([np.zeros(0, dtype)] + [np.ravel(b) for b in blocks])
+
+
 def update_w(
     marginals: list[np.ndarray],
     duals: list[np.ndarray],
@@ -192,13 +197,13 @@ def update_w(
 
     Each list entry holds one cycle, or a 2-D block of cycles one per row,
     here and in :func:`update_duals` and :func:`residuals`. Edges in no
-    cycle keep their previous value.
+    cycle keep their previous value. Each edge's terms are summed in block
+    order, rows in order.
     """
-    numerator = np.zeros_like(w_prev)
-    counts = np.zeros(w_prev.shape[0])
-    for marg, y, pos in zip(marginals, duals, members_pos):
-        np.add.at(numerator, pos, marg + y / rho)
-        np.add.at(counts, pos, 1.0)
+    pos = _in_group_order(members_pos, np.intp)
+    terms = _in_group_order([marg + y / rho for marg, y in zip(marginals, duals)])
+    numerator = np.bincount(pos, weights=terms, minlength=w_prev.shape[0])
+    counts = np.bincount(pos, minlength=w_prev.shape[0])
     w = w_prev.copy()
     covered = counts > 0
     w[covered] = np.clip(numerator[covered] / counts[covered], 0.0, 1.0)
@@ -229,10 +234,9 @@ def residuals(
     """Primal: sum of squared consensus gaps. Dual: rho^2 times the squared
     w change, counted once per (edge, cycle) incidence."""
     primal = 0.0
-    counts = np.zeros(w.shape[0])
     for marg, pos in zip(marginals, members_pos):
         primal += float(np.sum((marg - w[pos]) ** 2))
-        np.add.at(counts, pos, 1.0)
+    counts = np.bincount(_in_group_order(members_pos, np.intp), minlength=w.shape[0])
     dual = float(rho**2 * np.sum(counts * (w - w_prev) ** 2))
     return primal, dual
 
@@ -285,7 +289,7 @@ def run_admm(
     p_matrices = [marginalization_matrix(group.k) for group in groups]
     lam_max = [float(np.linalg.eigvalsh(p @ p.T).max()) for p in p_matrices]
     v_hat = [
-        np.stack([cycle_conditional(fg.factors[i], params).values for i in group.factors])
+        cycle_conditionals([fg.factors[i] for i in group.factors], params)
         for group in groups
     ]
     members_pos = [fg.incidence_var[group.rows] for group in groups]

@@ -12,9 +12,10 @@ count, which the inference back-ends exploit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,9 +127,9 @@ class CycleDistribution:
 
     def outlier_count_marginals(self) -> np.ndarray:
         """Distribution of the outlier count s; length n_members + 1."""
-        masks = np.arange(self.values.shape[0])
-        counts = _popcounts(masks)
-        return np.bincount(counts, weights=self.values, minlength=self.n_members + 1)
+        return np.bincount(
+            _popcounts(self.n_members), weights=self.values, minlength=self.n_members + 1
+        )
 
 
 def truncated_gaussian_mass(sigma: float) -> float:
@@ -143,8 +144,11 @@ def mixture_std(factor: CycleFactor, s: int, params: ModelParams) -> float:
     k = len(factor.lc_members)
     if not 0 <= s <= k:
         raise ValueError(f"s must be in [0, {k}], got {s}")
-    n_inlier = factor.n_fixed + k - s
-    return math.sqrt(s * params.sigma_bar**2 + n_inlier * params.sigma**2)
+    return _std(s, factor.n_fixed + k - s, params.sigma, params.sigma_bar)
+
+
+def _std(s: int, n_inlier: int, sigma: float, sigma_bar: float) -> float:
+    return math.sqrt(s * sigma_bar**2 + n_inlier * sigma**2)
 
 
 def log_cycle_likelihood(factor: CycleFactor, s: int, params: ModelParams) -> float:
@@ -164,18 +168,65 @@ def log_likelihood_table(factor: CycleFactor, params: ModelParams) -> np.ndarray
     return np.array([log_cycle_likelihood(factor, s, params) for s in range(k + 1)])
 
 
+def log_likelihood_rows(
+    factors: Sequence[CycleFactor], pairs: Sequence[tuple[float, float]]
+) -> np.ndarray:
+    """log p(z | s) of every (factor, s) row under every (sigma, sigma_bar)
+    pair: shape (pairs, rows), rows running through the factors in order and
+    s = 0 .. k within a factor.
+
+    Element [p, row] equals log_cycle_likelihood bit for bit. The libm
+    calls and the squares run as Python scalars, once per pair and distinct
+    (s, n_inlier) and once per factor (CPython's x**2 is pow, which can
+    differ from numpy's x*x in the last bit); the rest is numpy arithmetic
+    in log_cycle_likelihood's order.
+    """
+    keys: dict[tuple[int, int], int] = {}
+    key_of_row: list[int] = []
+    z_squared: list[float] = []
+    for factor in factors:
+        k = len(factor.lc_members)
+        z2 = factor.z**2
+        for s in range(k + 1):
+            key_of_row.append(keys.setdefault((s, factor.n_fixed + k - s), len(keys)))
+            z_squared.append(z2)
+    scale = np.empty((len(pairs), len(keys)))
+    denom = np.empty_like(scale)
+    log_mass = np.empty_like(scale)
+    for p, (sigma, sigma_bar) in enumerate(pairs):
+        for (s, n_inlier), j in keys.items():
+            std = _std(s, n_inlier, sigma, sigma_bar)
+            scale[p, j] = -3.0 * math.log(std)
+            denom[p, j] = 2.0 * std**2
+            log_mass[p, j] = math.log(truncated_gaussian_mass(std))
+    rows = np.array(key_of_row, dtype=np.intp)
+    return scale[:, rows] - np.array(z_squared) / denom[:, rows] - log_mass[:, rows]
+
+
+def log_psi_table(factors: Sequence[CycleFactor], table: np.ndarray) -> np.ndarray:
+    """log psi of each factor under each pair, from the rows that
+    log_likelihood_rows(factors, pairs) returned: shape (pairs, factors)."""
+    log_binom = np.array([
+        math.lgamma(k + 1) - math.lgamma(s + 1) - math.lgamma(k - s + 1)
+        for k in (len(f.lc_members) for f in factors)
+        for s in range(k + 1)
+    ])
+    sizes = np.array([len(f.lc_members) + 1 for f in factors], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    terms = table + log_binom
+    peak = np.maximum.reduceat(terms, starts, axis=1)
+    total = np.add.reduceat(np.exp(terms - np.repeat(peak, sizes, axis=1)), starts, axis=1)
+    return peak + np.log(total)
+
+
 def log_psi(factor: CycleFactor, params: ModelParams) -> float:
     """Log of the configuration-sum normalizer: sum_s C(k, s) p(z | s).
 
     Constant per cycle for fixed parameters, so it never enters inference;
     it matters only when comparing parameter values in the EM objective.
     """
-    k = len(factor.lc_members)
-    table = log_likelihood_table(factor, params)
-    log_binom = np.array(
-        [math.lgamma(k + 1) - math.lgamma(s + 1) - math.lgamma(k - s + 1) for s in range(k + 1)]
-    )
-    return float(_logsumexp(log_binom + table))
+    table = log_likelihood_rows((factor,), [(params.sigma, params.sigma_bar)])
+    return float(log_psi_table((factor,), table)[0, 0])
 
 
 def log_prior_vector(member_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,22 +243,30 @@ def cycle_conditional(
 
     p(mask) is proportional to p(z | popcount(mask)) times the member priors.
     """
-    k = len(factor.lc_members)
+    return CycleDistribution(cycle_conditionals((factor,), params, cap)[0])
+
+
+def cycle_conditionals(
+    factors: Sequence[CycleFactor], params: ModelParams, cap: int = DEFAULT_LC_CAP
+) -> np.ndarray:
+    """cycle_conditional of factors that share their member count k, one
+    row each: shape (factors, 2^k)."""
+    k = len(factors[0].lc_members)
     if k == 0:
-        raise ValueError(f"cycle {factor.cycle_id} has no loop-closure members")
+        raise ValueError(f"cycle {factors[0].cycle_id} has no loop-closure members")
     if k > cap:
-        raise CycleCapError(factor.cycle_id, k, cap)
-    table = log_likelihood_table(factor, params)
-    masks = np.arange(1 << k)
-    log_p = table[_popcounts(masks)]
-    priors = np.array([params.prior(eid) for eid in factor.lc_members])
+        raise CycleCapError(factors[0].cycle_id, k, cap)
+    table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
+    log_p = table.reshape(len(factors), k + 1)[:, _popcounts(k)]
+    priors = np.array([[params.prior(eid) for eid in f.lc_members] for f in factors])
     log_in, log_out = log_prior_vector(priors)
+    masks = np.arange(1 << k)
     for j in range(k):
         bit = (masks >> j) & 1
-        log_p = log_p + np.where(bit == 1, log_out[j], log_in[j])
-    log_p -= np.max(log_p)
+        log_p = log_p + np.where(bit == 1, log_out[:, j, None], log_in[:, j, None])
+    log_p -= np.max(log_p, axis=1, keepdims=True)
     p = np.exp(log_p)
-    return CycleDistribution(p / p.sum())
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def factors_from_basis(g: PoseGraph, basis: CycleBasis) -> tuple[CycleFactor, ...]:
@@ -253,17 +312,11 @@ def joint_log_density(
     return total
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    counts = np.zeros_like(masks)
-    work = masks.copy()
-    while np.any(work):
-        counts += work & 1
-        work >>= 1
+@functools.lru_cache(maxsize=None)
+def _popcounts(k: int) -> np.ndarray:
+    """Outlier count of each mask 0 .. 2^k - 1; a read-only table per k."""
+    counts = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        counts = np.concatenate([counts, counts + 1])
+    counts.setflags(write=False)
     return counts
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = np.max(values)
-    if not np.isfinite(peak):
-        return float(peak)
-    return float(peak + np.log(np.sum(np.exp(values - peak))))

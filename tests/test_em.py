@@ -14,7 +14,6 @@ from loopsieve.em import (
     default_sigma_bar_grid,
     default_sigma_grid,
     e_step,
-    expected_cycle_term,
     m_step_priors,
     m_step_sigmas,
     run_em,
@@ -27,6 +26,7 @@ from loopsieve.factorgraph import (
 )
 from loopsieve.graph import EdgeKind
 from loopsieve.model import (
+    CycleDistribution,
     CycleFactor,
     ModelParams,
     cycle_conditional,
@@ -40,6 +40,49 @@ SIGMA_BAR_TRUE = math.radians(20.0)
 
 def lc_priors(g, value=0.5):
     return {e.id: value for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
+
+
+def expected_cycle_term(factor, count_marginals, params, include_psi=True):
+    """Scalar reference: expected log-likelihood of one cycle under its
+    count responsibilities."""
+    total = 0.0
+    for s, weight in enumerate(count_marginals):
+        if weight > 0.0:
+            total += float(weight) * log_cycle_likelihood(factor, s, params)
+    if include_psi:
+        total -= log_psi(factor, params)
+    return total
+
+
+def reference_m_step_sigmas(cycle_beliefs, factors, cfg):
+    """Scalar reference of the grid M-step: the first pair with the
+    largest objective wins."""
+    count_margs = [b.outlier_count_marginals() for b in cycle_beliefs]
+    best = None
+    best_value = -math.inf
+    for sigma in cfg.sigma_grid:
+        for sigma_bar in cfg.sigma_bar_grid:
+            if sigma_bar <= sigma:
+                continue
+            candidate = ModelParams(sigma, sigma_bar)
+            value = sum(
+                expected_cycle_term(f, qc, candidate, cfg.include_psi)
+                for f, qc in zip(factors, count_margs)
+            )
+            if value > best_value:
+                best_value = value
+                best = (sigma, sigma_bar)
+    return best
+
+
+def random_factors_and_beliefs(rng, n_factors):
+    factors, beliefs = [], []
+    for i in range(n_factors):
+        k = int(rng.integers(1, 5))
+        members = tuple(range(10 * i, 10 * i + k))
+        factors.append(CycleFactor(i, members, int(rng.integers(0, 5)), float(rng.uniform(0, 1.5))))
+        beliefs.append(CycleDistribution(rng.dirichlet(np.ones(1 << k))))
+    return tuple(factors), tuple(beliefs)
 
 
 class TestConfig:
@@ -217,6 +260,35 @@ class TestMStepSigmas:
             )
             assert folded == pytest.approx(naive, abs=1e-10)
 
+    @pytest.mark.parametrize("include_psi", [False, True])
+    def test_matches_reference_on_random_beliefs(self, rng, include_psi):
+        cfg = EmConfig(include_psi=include_psi)
+        for n_factors in (1, 3, 12, 30):
+            factors, beliefs = random_factors_and_beliefs(rng, n_factors)
+            assert m_step_sigmas(beliefs, factors, cfg) == reference_m_step_sigmas(
+                beliefs, factors, cfg
+            )
+
+    @pytest.mark.parametrize("include_psi", [False, True])
+    def test_flat_objective_keeps_first_pair(self, rng, include_psi):
+        # equal grid values as distinct objects score equal; the first of
+        # the tied pairs must win, as in the scalar loop
+        sigmas = tuple(float(np.float64(0.02)) for _ in range(3))
+        bars = tuple(float(np.float64(0.3)) for _ in range(2))
+        cfg = EmConfig(sigma_grid=sigmas, sigma_bar_grid=bars, include_psi=include_psi)
+        factors, beliefs = random_factors_and_beliefs(rng, 7)
+        got = m_step_sigmas(beliefs, factors, cfg)
+        expected = reference_m_step_sigmas(beliefs, factors, cfg)
+        assert got[0] is expected[0] is sigmas[0]
+        assert got[1] is expected[1] is bars[0]
+
+    @pytest.mark.parametrize("include_psi", [False, True])
+    def test_no_factors_gives_first_pair(self, include_psi):
+        cfg = EmConfig(include_psi=include_psi)
+        expected = (cfg.sigma_grid[0], cfg.sigma_bar_grid[0])
+        assert m_step_sigmas((), (), cfg) == expected
+        assert reference_m_step_sigmas((), (), cfg) == expected
+
     def test_respects_sigma_bar_gt_sigma(self):
         f = CycleFactor(0, (0,), 0, 0.1)
         from loopsieve.model import CycleDistribution
@@ -331,6 +403,39 @@ class TestRunEm:
         _, trace, _ = run_em(fg, init, cfg)
         lls = [r.data_log_likelihood for r in trace.rounds]
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
+
+    def test_exact_fit_enumerates_once_per_round(self, monkeypatch):
+        # the data log-likelihood comes from the E-step's own enumeration:
+        # one exact_marginals call per round plus the final E-step
+        import loopsieve.em as em
+
+        calls = []
+        original = em.exact_marginals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(em, "exact_marginals", counting)
+        fg, priors = self.build_pooled(master=2, n_graphs=2)
+        init = ModelParams(math.radians(4), math.radians(30), priors)
+        for include_psi in (False, True):
+            calls.clear()
+            cfg = EmConfig(max_rounds=5, inference=InferenceMethod.EXACT, include_psi=include_psi)
+            _, trace, _ = run_em(fg, init, cfg)
+            assert len(calls) == len(trace.rounds) + 1
+            for r in trace.rounds:
+                assert math.isfinite(r.data_log_likelihood)
+
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    @pytest.mark.parametrize("fg", [FactorGraph((1,), ()), FactorGraph((), ())])
+    def test_empty_graph_returns_first_grid_pair(self, fg, method):
+        init = ModelParams(math.radians(3), math.radians(25), {eid: 0.5 for eid in fg.variables})
+        cfg = EmConfig(inference=method)
+        params, trace, final = run_em(fg, init, cfg)
+        assert (params.sigma, params.sigma_bar) == (math.radians(0.5), math.radians(5.0))
+        assert len(trace.rounds) >= 1
+        assert final.cycle_beliefs == ()
 
     def test_psi_value_is_finite(self):
         f = CycleFactor(0, (0, 1, 2), 2, 0.4)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, uniform_params
 from loopsieve.cycles import minimum_cycle_basis
@@ -13,9 +15,12 @@ from loopsieve.model import (
     CycleFactor,
     ModelParams,
     cycle_conditional,
+    cycle_conditionals,
     factors_from_basis,
     joint_log_density,
     log_cycle_likelihood,
+    log_likelihood_rows,
+    log_prior_vector,
     log_psi,
     mixture_std,
     truncated_gaussian_mass,
@@ -46,7 +51,8 @@ class TestTruncatedMass:
         # independent oracle: dense trapezoid rule on the integrand
         for sigma in (0.01, 0.05, 0.2, 0.5, 1.0):
             t = np.linspace(0.0, math.pi, 200_001)
-            reference = np.trapezoid(np.exp(-(t**2) / (2 * sigma**2)), t)
+            y = np.exp(-(t**2) / (2 * sigma**2))
+            reference = float(np.sum(np.diff(t) * (y[1:] + y[:-1]) / 2.0))
             assert abs(truncated_gaussian_mass(sigma) - reference) < 1e-9
 
     def test_increasing_in_sigma(self):
@@ -115,6 +121,84 @@ class TestLogCycleLikelihood:
             by_count.setdefault(bin(mask).count("1"), []).append(dist[mask])
         for values in by_count.values():
             assert max(values) - min(values) < 1e-12
+
+
+factor_strategy = st.builds(
+    # at least one edge, so that every std is positive
+    lambda k, n_fixed, z: CycleFactor(0, tuple(range(k)), max(n_fixed, 1 - k), z),
+    st.integers(0, 6),
+    st.integers(0, 8),
+    st.floats(0.0, math.pi),
+)
+pair_strategy = st.tuples(
+    st.floats(1e-4, 1.0), st.floats(1e-3, 3.0), st.booleans()
+).map(
+    # sigma_bar > sigma; grids built by numpy hold np.float64 values
+    lambda t: tuple((np.float64 if t[2] else float)(v) for v in (t[0], t[0] + t[1]))
+)
+
+
+class TestLogLikelihoodRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(factor_strategy, max_size=6), st.lists(pair_strategy, min_size=1, max_size=5))
+    # errors whose square by pow (z**2) and by multiplication (z*z) differ
+    # in the last bit with glibc
+    @example(
+        [
+            CycleFactor(0, (0, 1), 2, z)
+            for z in (0.7851018787637928, 1.7779167936359777, 0.9638657378144811)
+        ],
+        [(0.03, 0.3), (math.radians(2.0), math.radians(20.0))],
+    )
+    def test_every_element_equals_scalar_likelihood(self, factors, pairs):
+        table = log_likelihood_rows(factors, pairs)
+        assert table.shape == (len(pairs), sum(len(f.lc_members) + 1 for f in factors))
+        for p, (sigma, sigma_bar) in enumerate(pairs):
+            params = ModelParams(sigma, sigma_bar)
+            expected = [
+                log_cycle_likelihood(f, s, params)
+                for f in factors
+                for s in range(len(f.lc_members) + 1)
+            ]
+            assert table[p].tolist() == expected
+
+
+def reference_cycle_conditional(factor, params):
+    """The per-factor conditional as a loop over member bits."""
+    k = len(factor.lc_members)
+    table = np.array([log_cycle_likelihood(factor, s, params) for s in range(k + 1)])
+    masks = np.arange(1 << k)
+    log_p = table[[bin(m).count("1") for m in masks]]
+    log_in, log_out = log_prior_vector(np.array([params.prior(e) for e in factor.lc_members]))
+    for j in range(k):
+        bit = (masks >> j) & 1
+        log_p = log_p + np.where(bit == 1, log_out[j], log_in[j])
+    log_p -= np.max(log_p)
+    p = np.exp(log_p)
+    return p / p.sum()
+
+
+class TestCycleConditionals:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_batch_equals_stacked_conditionals(self, rng, k):
+        # priors of exactly 0 and 1 put -inf into the log terms
+        choices = np.array([0.0, 1.0, 0.3, 0.5, 0.9])
+        priors = {}
+        factors = []
+        for i in range(40):
+            members = tuple(range(10 * i, 10 * i + k))
+            for eid in members:
+                priors[eid] = float(rng.choice(choices)) if i % 2 else float(rng.uniform(0, 1))
+            factors.append(
+                CycleFactor(i, members, int(rng.integers(0, 4)), float(rng.uniform(0, 1.5)))
+            )
+        p = ModelParams(math.radians(2.0), math.radians(20.0), priors)
+        batch = cycle_conditionals(factors, p)
+        stacked = np.stack([cycle_conditional(f, p).values for f in factors])
+        reference = np.stack([reference_cycle_conditional(f, p) for f in factors])
+        assert batch.shape == (len(factors), 1 << k)
+        assert np.array_equal(batch, stacked)
+        assert np.array_equal(batch, reference)
 
 
 class TestCycleConditional:
