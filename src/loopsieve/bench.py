@@ -21,7 +21,7 @@ from . import em
 from .cycles import minimum_cycle_basis
 from .factorgraph import InferenceMethod, build_factor_graph
 from .graph import PoseGraph, TruthLabel, loop_closure_edges
-from .model import DEFAULT_LC_CAP, ModelParams
+from .model import ModelParams
 
 DEFAULT_SIGMA = math.radians(2.0)
 DEFAULT_SIGMA_BAR = math.radians(20.0)
@@ -106,7 +106,6 @@ def classify(
     params: ModelParams | None = None,
     method: InferenceMethod = InferenceMethod.ADMM,
     threshold: float = DEFAULT_THRESHOLD,
-    cap: int = DEFAULT_LC_CAP,
 ) -> ClassificationResult:
     """Classify every loop-closure edge of one graph.
 
@@ -118,7 +117,7 @@ def classify(
     if params is None:
         params = ModelParams.from_graph(g, DEFAULT_SIGMA, DEFAULT_SIGMA_BAR)
     basis = minimum_cycle_basis(g)
-    fg = build_factor_graph(g, basis, cap)
+    fg = build_factor_graph(g, basis)
     outcome = em.e_step(fg, params, method)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return result_from_marginals(

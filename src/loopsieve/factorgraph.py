@@ -24,7 +24,7 @@ from .model import (
     CycleFactor,
     ModelParams,
     factors_from_basis,
-    log_likelihood_table,
+    log_likelihood_rows,
     log_prior_vector,
 )
 
@@ -137,17 +137,15 @@ class InferenceResult:
     log_evidence: float = float("nan")
 
 
-def build_factor_graph(
-    g: PoseGraph, basis: CycleBasis, cap: int = DEFAULT_LC_CAP
-) -> FactorGraph:
-    """Assemble the factor graph; rejects cycles over the member cap."""
+def build_factor_graph(g: PoseGraph, basis: CycleBasis) -> FactorGraph:
+    """Assemble the factor graph; rejects cycles over DEFAULT_LC_CAP members."""
     variables = tuple(e.id for e in loop_closure_edges(g))
     factors = []
     for factor in factors_from_basis(g, basis):
         if not factor.lc_members:
             continue  # all-ego cycles carry no free variables
-        if len(factor.lc_members) > cap:
-            raise CycleCapError(factor.cycle_id, len(factor.lc_members), cap)
+        if len(factor.lc_members) > DEFAULT_LC_CAP:
+            raise CycleCapError(factor.cycle_id, len(factor.lc_members))
         factors.append(factor)
     return FactorGraph(variables, tuple(factors))
 
@@ -181,9 +179,7 @@ def _connected_components(fg: FactorGraph) -> list[tuple[list[int], list[int]]]:
     return components
 
 
-def exact_marginals(
-    fg: FactorGraph, params: ModelParams, limit: int = EXACT_ENUMERATION_LIMIT
-) -> InferenceResult:
+def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
     """Posterior marginals by enumeration, one connected block at a time.
 
     Blocks of the factor graph are independent, so each is enumerated
@@ -194,12 +190,16 @@ def exact_marginals(
         eid: params.prior(eid) for eid in fg.variables
     }
     beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
+    # factor f's log p(z | s), s = 0 .. k, is rows[offsets[f] : offsets[f + 1]]
+    rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
+    offsets = np.cumsum([0] + [len(f.lc_members) + 1 for f in fg.factors])
     log_z = 0.0
     for var_ids, factor_indices in _connected_components(fg):
         n = len(var_ids)
-        if n > limit:
+        if n > EXACT_ENUMERATION_LIMIT:
             raise ValueError(
-                f"exact enumeration over a {n}-edge block exceeds the limit of {limit}"
+                f"exact enumeration over a {n}-edge block exceeds the limit of "
+                f"{EXACT_ENUMERATION_LIMIT}"
             )
         position = {eid: i for i, eid in enumerate(var_ids)}
         masks = np.arange(1 << n, dtype=np.int64)
@@ -211,7 +211,7 @@ def exact_marginals(
         local_masks = {}
         for f_idx in factor_indices:
             factor = fg.factors[f_idx]
-            table = log_likelihood_table(factor, params)
+            table = rows[offsets[f_idx] : offsets[f_idx + 1]]
             s = np.zeros(1 << n, dtype=np.int64)
             local = np.zeros(1 << n, dtype=np.int64)
             for j, eid in enumerate(factor.lc_members):

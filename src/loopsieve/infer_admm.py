@@ -33,6 +33,13 @@ from .factorgraph import FactorGraph, InferenceResult
 from .model import CycleDistribution, ModelParams, cycle_conditionals
 
 
+# Residual balancing (see update_rho): rho is multiplied or divided by
+# RHO_TAU when one residual exceeds RHO_MU times the other, within
+# [RHO_MIN, RHO_MAX].
+RHO_MU = 10.0
+RHO_TAU = 2.0
+RHO_MIN = 1e-4
+RHO_MAX = 1e4
 # Adapting rho forever can limit-cycle near the solution; after this many
 # iterations the penalty stays fixed, restoring plain (convergent) ADMM.
 RHO_FREEZE_AFTER = 100
@@ -45,11 +52,12 @@ class AdmmOptions:
     """Solver settings.
 
     rho0 is the initial penalty. rho then follows residual balancing
-    (mu = 10, tau = 2, clipped to [1e-4, 1e4]; see :func:`update_rho`) for
-    RHO_FREEZE_AFTER = 100 iterations and stays fixed afterwards. The run
-    stops after max_iters iterations or once both residuals are at most
-    tol, scaled by the square root of the (edge, cycle) incidence count
-    when scale_tol is set. record_trace keeps per-iteration statistics.
+    (RHO_MU = 10, RHO_TAU = 2, clipped to [RHO_MIN, RHO_MAX] = [1e-4, 1e4];
+    see :func:`update_rho`) for RHO_FREEZE_AFTER = 100 iterations and stays
+    fixed afterwards. The run stops after max_iters iterations or once both
+    residuals are at most tol, scaled by the square root of the (edge,
+    cycle) incidence count when scale_tol is set. record_trace keeps
+    per-iteration statistics.
     """
 
     rho0: float = 1.0
@@ -88,11 +96,6 @@ def marginalization_matrix(k: int) -> np.ndarray:
     for j in range(k):
         rows[j, ((masks >> j) & 1) == 0] = 1.0
     return rows
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
-    return _project_rows(np.asarray(v, dtype=float)[None, :])[0]
 
 
 def _project_rows(matrix: np.ndarray) -> np.ndarray:
@@ -151,34 +154,6 @@ def _solve_batch(
                 break
             z = x
     return x
-
-
-def solve_cycle_subproblem(
-    v_hat: np.ndarray,
-    y: np.ndarray,
-    w_c: np.ndarray,
-    rho: float,
-    tol: float = SUBPROBLEM_TOL,
-    max_iters: int = SUBPROBLEM_MAX_ITERS,
-) -> np.ndarray:
-    """Minimize ||v - v_hat||^2 + y^T P v + (rho/2)||P v - w_c||^2 on the simplex."""
-    v_hat = np.asarray(v_hat, dtype=float)
-    k = int(v_hat.shape[0]).bit_length() - 1
-    p_matrix = marginalization_matrix(k)
-    lam = float(np.linalg.eigvalsh(p_matrix @ p_matrix.T).max())
-    v0 = _project_rows(v_hat[None, :])
-    out = _solve_batch(
-        v0,
-        v_hat[None, :],
-        np.asarray(y, dtype=float)[None, :],
-        np.asarray(w_c, dtype=float)[None, :],
-        rho,
-        p_matrix,
-        lam,
-        tol,
-        max_iters,
-    )
-    return out[0]
 
 
 def _in_group_order(blocks: list[np.ndarray], dtype=float) -> np.ndarray:
@@ -241,32 +216,21 @@ def residuals(
     return primal, dual
 
 
-def update_rho(
-    rho: float,
-    r: float,
-    t: float,
-    mu: float = 10.0,
-    tau_incr: float = 2.0,
-    tau_decr: float = 2.0,
-    rho_min: float = 1e-4,
-    rho_max: float = 1e4,
-) -> float:
-    """Penalty schedule: grow when r <= mu t, shrink when t <= mu r, and
-    leave rho unchanged when both tests fire at once.
+def update_rho(rho: float, r: float, t: float) -> float:
+    """Penalty schedule: grow when r <= RHO_MU t, shrink when t <= RHO_MU r,
+    and leave rho unchanged when both tests fire at once.
 
     With r the dual and t the primal residual, as :func:`run_admm` calls
     it, this is residual balancing: rho grows when the primal residual
-    exceeds mu times the dual one and shrinks in the opposite case.
+    exceeds RHO_MU times the dual one and shrinks in the opposite case.
     """
-    if mu <= 1.0 or tau_incr <= 1.0 or tau_decr <= 1.0:
-        raise ValueError("mu, tau_incr and tau_decr must all exceed 1")
-    grow = r <= mu * t
-    shrink = t <= mu * r
+    grow = r <= RHO_MU * t
+    shrink = t <= RHO_MU * r
     if grow and not shrink:
-        rho = rho * tau_incr
+        rho = rho * RHO_TAU
     elif shrink and not grow:
-        rho = rho / tau_decr
-    return float(np.clip(rho, rho_min, rho_max))
+        rho = rho / RHO_TAU
+    return float(np.clip(rho, RHO_MIN, RHO_MAX))
 
 
 def run_admm(

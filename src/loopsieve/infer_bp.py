@@ -12,19 +12,20 @@ messages marginalize via an O(k^2) counting convolution instead of
 
 :func:`run_bp` keeps all messages in arrays indexed by incidence row (see
 :class:`~loopsieve.factorgraph.FactorGraph`) and updates them in batches,
-one per cycle size k. The per-message functions (:func:`init_messages`,
-:func:`factor_to_var`, :func:`var_to_factor`) compute single messages with
-the same arithmetic; the tests use them as the reference for the batches.
+one per cycle size k. Each factor's weights over s = 0 .. k are
+exp(log p(z | s)) from :func:`~loopsieve.model.log_likelihood_rows`,
+rescaled by the factor's maximum; beliefs are invariant to that positive
+per-factor scaling, and the shift guards against underflow. The
+per-message reference, the same arithmetic one message at a time, is in
+``tests/reference.py``; the tests check the batches against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult
-from .model import CycleDistribution, ModelParams, log_likelihood_table
+from .model import CycleDistribution, ModelParams, log_likelihood_rows
 
 MESSAGE_FLOOR = 1e-300
 
@@ -33,127 +34,16 @@ DEFAULT_MAX_ITERS = 200
 DEFAULT_TOL = 1e-6
 
 
-@dataclass
-class MessageState:
-    """Mutable message tables for one BP run.
-
-    to_var[(f_idx, eid)] and to_factor[(eid, f_idx)] are normalized 2-vectors.
-    """
-
-    to_var: dict[tuple[int, int], np.ndarray]
-    to_factor: dict[tuple[int, int], np.ndarray]
-
-
-def prior_message(params: ModelParams, edge_id: int) -> np.ndarray:
-    pi = params.prior(edge_id)
-    return np.array([pi, 1.0 - pi])
-
-
-def likelihood_weights(factor, params: ModelParams) -> np.ndarray:
-    """exp of the per-count log-likelihoods, rescaled by the max.
-
-    Beliefs are invariant to positive per-factor scaling, so the shift only
-    guards against underflow.
-    """
-    table = log_likelihood_table(factor, params)
-    return np.exp(table - table.max())
-
-
 def _normalize(msgs: np.ndarray) -> np.ndarray:
     """Clip at MESSAGE_FLOOR and scale to sum 1: one message, or each row."""
     clipped = np.maximum(msgs, MESSAGE_FLOOR)
     return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
-def var_to_factor(
-    state: MessageState,
-    fg: FactorGraph,
-    params: ModelParams,
-    edge_id: int,
-    f_idx: int,
-) -> np.ndarray:
-    """Product of the prior and all other incoming factor messages."""
-    out = prior_message(params, edge_id).copy()
-    for other in fg.var_factors[edge_id]:
-        if other != f_idx:
-            out = out * state.to_var[(other, edge_id)]
-    return _normalize(out)
-
-
-def factor_to_var(
-    state: MessageState,
-    fg: FactorGraph,
-    params: ModelParams,
-    f_idx: int,
-    edge_id: int,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Marginalize the cycle factor against the other members' messages.
-
-    Convolves the incoming Bernoulli messages into a distribution over the
-    other members' outlier count, then contracts with the likelihood table.
-    """
-    factor = fg.factors[f_idx]
-    if weights is None:
-        weights = likelihood_weights(factor, params)
-    poly = np.array([1.0])
-    for member in factor.lc_members:
-        if member == edge_id:
-            continue
-        n0, n1 = state.to_factor[(member, f_idx)]
-        nxt = np.zeros(poly.shape[0] + 1)
-        nxt[:-1] += poly * n0
-        nxt[1:] += poly * n1
-        poly = nxt
-    out = np.array(
-        [
-            float(poly @ weights[: poly.shape[0]]),
-            float(poly @ weights[1 : poly.shape[0] + 1]),
-        ]
-    )
-    return _normalize(out)
-
-
-def factor_to_var_enumerated(
-    state: MessageState,
-    fg: FactorGraph,
-    params: ModelParams,
-    f_idx: int,
-    edge_id: int,
-) -> np.ndarray:
-    """Reference marginalization by explicit 2^(k-1) enumeration."""
-    factor = fg.factors[f_idx]
-    weights = likelihood_weights(factor, params)
-    others = [m for m in factor.lc_members if m != edge_id]
-    out = np.zeros(2)
-    for value in (0, 1):
-        total = 0.0
-        for mask in range(1 << len(others)):
-            term = 1.0
-            s = value
-            for j, member in enumerate(others):
-                bit = (mask >> j) & 1
-                term *= state.to_factor[(member, f_idx)][bit]
-                s += bit
-            total += term * weights[s]
-        out[value] = total
-    return _normalize(out)
-
-
-def init_messages(fg: FactorGraph, params: ModelParams) -> MessageState:
-    to_var = {}
-    to_factor = {}
-    for f_idx, factor in enumerate(fg.factors):
-        for eid in factor.lc_members:
-            to_var[(f_idx, eid)] = np.array([0.5, 0.5])
-            to_factor[(eid, f_idx)] = prior_message(params, eid)
-    return MessageState(to_var, to_factor)
-
-
 def _factor_messages(
     to_factor: np.ndarray, rows: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """factor_to_var for every incidence of one k group, at once.
+    """Every factor-to-variable message of one k group, at once.
 
     rows is the group's (F, k) incidence matrix and weights its (F, k + 1)
     likelihood weights; out[r, j] is the message along incidence rows[r, j].
@@ -171,7 +61,7 @@ def _factor_messages(
             nxt[:, 1:] += poly * incoming[:, member, 1:2]
             poly = nxt
         # A stacked (1, k) @ (k, 1) product adds in the same order as the
-        # 1-D dot of factor_to_var, so each message is bit-identical.
+        # reference's 1-D dot, so each message is bit-identical.
         stacked = poly[:, None, :]
         out[:, j, 0] = (stacked @ weights[:, :k, None])[:, 0, 0]
         out[:, j, 1] = (stacked @ weights[:, 1:, None])[:, 0, 0]
@@ -187,10 +77,12 @@ def run_bp(
 ) -> InferenceResult:
     """Damped loopy BP; non-convergence yields best-effort beliefs."""
     groups = fg.cycle_groups
-    weights = [
-        np.stack([likelihood_weights(fg.factors[f], params) for f in group.factors])
-        for group in groups
-    ]
+    weights = []
+    for group in groups:
+        factors = [fg.factors[f] for f in group.factors]
+        table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
+        table = table.reshape(len(factors), group.k + 1)
+        weights.append(np.exp(table - table.max(axis=1, keepdims=True)))
     inc_var = fg.incidence_var
     n_inc = len(inc_var)
     var_rows = fg.var_incidences

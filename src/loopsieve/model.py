@@ -8,6 +8,10 @@ n_fixed trusted ego edges has error standard deviation
 and the cycle error z follows a truncated Gaussian on [0, pi] with that
 scale. Likelihoods depend on a configuration only through its outlier
 count, which the inference back-ends exploit.
+
+:func:`log_likelihood_rows` is the library's single density: BP's message
+weights, exact enumeration, the cycle conditionals that ADMM starts from,
+log psi and the EM objective all read it.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 class CycleCapError(ValueError):
     """Cycle has too many loop-closure members for a 2^k state space."""
 
-    def __init__(self, cycle_id: int, size: int, cap: int):
+    def __init__(self, cycle_id: int, size: int):
         super().__init__(
             f"cycle {cycle_id} has {size} loop-closure members, over the cap of "
-            f"{cap}; raise the cap or prune the cycle"
+            f"{DEFAULT_LC_CAP}; raise the cap or prune the cycle"
         )
         self.cycle_id = cycle_id
 
@@ -119,12 +123,6 @@ class CycleDistribution:
     def n_members(self) -> int:
         return int(self.values.shape[0]).bit_length() - 1
 
-    def inlier_marginal(self, member_index: int) -> float:
-        """P(member is an inlier): total mass of masks with that bit clear."""
-        masks = np.arange(self.values.shape[0])
-        keep = (masks >> member_index) & 1 == 0
-        return float(self.values[keep].sum())
-
     def outlier_count_marginals(self) -> np.ndarray:
         """Distribution of the outlier count s; length n_members + 1."""
         return np.bincount(
@@ -139,33 +137,8 @@ def truncated_gaussian_mass(sigma: float) -> float:
     return sigma * _SQRT_HALF_PI * math.erf(math.pi / (sigma * math.sqrt(2.0)))
 
 
-def mixture_std(factor: CycleFactor, s: int, params: ModelParams) -> float:
-    """Error scale of the cycle when s of its free members are outliers."""
-    k = len(factor.lc_members)
-    if not 0 <= s <= k:
-        raise ValueError(f"s must be in [0, {k}], got {s}")
-    return _std(s, factor.n_fixed + k - s, params.sigma, params.sigma_bar)
-
-
 def _std(s: int, n_inlier: int, sigma: float, sigma_bar: float) -> float:
     return math.sqrt(s * sigma_bar**2 + n_inlier * sigma**2)
-
-
-def log_cycle_likelihood(factor: CycleFactor, s: int, params: ModelParams) -> float:
-    """log p(z | s outliers), up to the per-cycle constant that cancels
-    in inference: -3 ln(std) - z^2 / (2 std^2) - ln(truncated mass)."""
-    std = mixture_std(factor, s, params)
-    return (
-        -3.0 * math.log(std)
-        - factor.z**2 / (2.0 * std**2)
-        - math.log(truncated_gaussian_mass(std))
-    )
-
-
-def log_likelihood_table(factor: CycleFactor, params: ModelParams) -> np.ndarray:
-    """log p(z | s) for s = 0 .. k."""
-    k = len(factor.lc_members)
-    return np.array([log_cycle_likelihood(factor, s, params) for s in range(k + 1)])
 
 
 def log_likelihood_rows(
@@ -175,11 +148,12 @@ def log_likelihood_rows(
     pair: shape (pairs, rows), rows running through the factors in order and
     s = 0 .. k within a factor.
 
-    Element [p, row] equals log_cycle_likelihood bit for bit. The libm
-    calls and the squares run as Python scalars, once per pair and distinct
+    Each element is -3 ln(std) - z^2 / (2 std^2) - ln(truncated mass),
+    up to the per-cycle constant that cancels in inference. The libm calls
+    and the squares run as Python scalars, once per pair and distinct
     (s, n_inlier) and once per factor (CPython's x**2 is pow, which can
     differ from numpy's x*x in the last bit); the rest is numpy arithmetic
-    in log_cycle_likelihood's order.
+    in that order, so each element equals the scalar formula bit for bit.
     """
     keys: dict[tuple[int, int], int] = {}
     key_of_row: list[int] = []
@@ -219,16 +193,6 @@ def log_psi_table(factors: Sequence[CycleFactor], table: np.ndarray) -> np.ndarr
     return peak + np.log(total)
 
 
-def log_psi(factor: CycleFactor, params: ModelParams) -> float:
-    """Log of the configuration-sum normalizer: sum_s C(k, s) p(z | s).
-
-    Constant per cycle for fixed parameters, so it never enters inference;
-    it matters only when comparing parameter values in the EM objective.
-    """
-    table = log_likelihood_rows((factor,), [(params.sigma, params.sigma_bar)])
-    return float(log_psi_table((factor,), table)[0, 0])
-
-
 def log_prior_vector(member_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log pi, log pi_bar) with -inf where a prior is exactly 0 or 1."""
     pri = np.asarray(member_priors, dtype=float)
@@ -236,26 +200,18 @@ def log_prior_vector(member_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return np.log(pri), np.log1p(-pri)
 
 
-def cycle_conditional(
-    factor: CycleFactor, params: ModelParams, cap: int = DEFAULT_LC_CAP
-) -> CycleDistribution:
-    """Posterior over the cycle's own configurations given its error alone.
+def cycle_conditionals(factors: Sequence[CycleFactor], params: ModelParams) -> np.ndarray:
+    """Posterior over each cycle's own configurations given its error
+    alone, for factors that share their member count k: shape
+    (factors, 2^k), one row each.
 
     p(mask) is proportional to p(z | popcount(mask)) times the member priors.
     """
-    return CycleDistribution(cycle_conditionals((factor,), params, cap)[0])
-
-
-def cycle_conditionals(
-    factors: Sequence[CycleFactor], params: ModelParams, cap: int = DEFAULT_LC_CAP
-) -> np.ndarray:
-    """cycle_conditional of factors that share their member count k, one
-    row each: shape (factors, 2^k)."""
     k = len(factors[0].lc_members)
     if k == 0:
         raise ValueError(f"cycle {factors[0].cycle_id} has no loop-closure members")
-    if k > cap:
-        raise CycleCapError(factors[0].cycle_id, k, cap)
+    if k > DEFAULT_LC_CAP:
+        raise CycleCapError(factors[0].cycle_id, k)
     table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
     log_p = table.reshape(len(factors), k + 1)[:, _popcounts(k)]
     priors = np.array([[params.prior(eid) for eid in f.lc_members] for f in factors])
@@ -282,34 +238,6 @@ def factors_from_basis(g: PoseGraph, basis: CycleBasis) -> tuple[CycleFactor, ..
                 n_fixed += 1
         factors.append(CycleFactor(cycle_id, tuple(members), n_fixed, cycle_error(g, cycle)))
     return tuple(factors)
-
-
-def joint_log_density(
-    g: PoseGraph,
-    basis: CycleBasis,
-    x: Mapping[int, int],
-    params: ModelParams,
-) -> float:
-    """Log of the unnormalized joint: edge priors times cycle likelihoods.
-
-    ``x`` must assign 0 (inlier) or 1 (outlier) to every loop-closure edge.
-    """
-    total = 0.0
-    for edge in g.edges:
-        if edge.kind is not EdgeKind.LOOP_CLOSURE:
-            continue
-        if edge.id not in x:
-            raise ValueError(f"configuration is missing loop-closure edge {edge.id}")
-        state = x[edge.id]
-        if state not in (0, 1):
-            raise ValueError(f"edge {edge.id}: state must be 0 or 1, got {state}")
-        pi = params.prior(edge.id)
-        term = pi if state == 0 else 1.0 - pi
-        total += math.log(term) if term > 0 else -math.inf
-    for factor in factors_from_basis(g, basis):
-        s = sum(x[eid] for eid in factor.lc_members)
-        total += log_cycle_likelihood(factor, s, params)
-    return total
 
 
 @functools.lru_cache(maxsize=None)

@@ -148,6 +148,19 @@ def random_multigraph(rng: np.random.Generator, max_edges: int = 8) -> PoseGraph
     return make_graph(n_nodes, edges)
 
 
+def loop_closure_ring(n: int) -> PoseGraph:
+    """n nodes joined in one ring of n truth-labeled loop closures: a single
+    basis cycle with n loop-closure members."""
+    from loopsieve.graph import TruthLabel
+
+    nodes = tuple(Node(i, i % 2) for i in range(n))
+    edges = tuple(
+        Edge(i, i, (i + 1) % n, np.eye(3), EdgeKind.LOOP_CLOSURE, 0.5, TruthLabel.INLIER)
+        for i in range(n)
+    )
+    return PoseGraph(nodes, edges)
+
+
 def three_cycle_factor_graph(z_values) -> FactorGraph:
     """Five loop-closure variables in three overlapping cycle factors."""
     z1, z2, z3 = z_values

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import loop_closure_ring
 from loopsieve.bench import (
     BenchRow,
     aggregate_by_outlier_ratio,
@@ -14,7 +15,7 @@ from loopsieve.bench import (
 )
 from loopsieve.factorgraph import InferenceMethod
 from loopsieve.graph import Edge, EdgeKind, PoseGraph, TruthLabel, loop_closure_edges
-from loopsieve.model import ModelParams
+from loopsieve.model import DEFAULT_LC_CAP, ModelParams
 from loopsieve.synth import SynthSpec, generate
 
 MID_IN = math.radians(2.0)
@@ -183,22 +184,14 @@ class TestRunBenchmark:
 
     def test_failures_recorded_and_run_continues(self):
         good = self.make_items(2)
-        # a graph over the cycle cap: one giant cycle of loop closures
-        from loopsieve.graph import Node
-
-        n = 20
-        nodes = tuple(Node(i, i % 2) for i in range(n))
-        edges = tuple(
-            Edge(i, i, (i + 1) % n, np.eye(3), EdgeKind.LOOP_CLOSURE, 0.5, TruthLabel.INLIER)
-            for i in range(n)
-        )
-        bad = PoseGraph(nodes, edges)
-        items = good + [("bad", bad)]
+        # a graph one over the cycle cap: one cycle of 17 loop closures
+        bad = loop_closure_ring(DEFAULT_LC_CAP + 1)
+        items = good[:1] + [("bad", bad)] + good[1:]
         rows, failures = run_benchmark(items, [InferenceMethod.BP])
         assert len(rows) == 2
         assert len(failures) == 1
         assert failures[0].graph_id == "bad"
-        assert "cap" in failures[0].error
+        assert "cycle 0 has 17 loop-closure members, over the cap of 16" in failures[0].error
 
     def test_f1_definition(self):
         row = BenchRow("x", 10, 3, InferenceMethod.BP, 2, 1, 1, 6, 2 / 3, 2 / 3, 2 / 3, True, 5, 0.0)

@@ -3,24 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from conftest import three_cycle_factor_graph, uniform_params
-from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
-from loopsieve.infer_bp import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOL,
-    MESSAGE_FLOOR,
-    MessageState,
+from conftest import loop_closure_ring, three_cycle_factor_graph, uniform_params
+from loopsieve.factorgraph import (
+    EXACT_ENUMERATION_LIMIT,
+    FactorGraph,
+    build_factor_graph,
+    exact_marginals,
+)
+from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, run_bp
+from loopsieve.model import DEFAULT_LC_CAP, CycleCapError, CycleFactor, ModelParams
+from loopsieve.cycles import minimum_cycle_basis
+from loopsieve.synth import SynthSpec, generate
+from reference import (
+    cycle_conditional,
     factor_to_var,
     factor_to_var_enumerated,
     init_messages,
+    inlier_marginal,
     likelihood_weights,
+    log_cycle_likelihood,
     prior_message,
-    run_bp,
     var_to_factor,
 )
-from loopsieve.model import CycleFactor, ModelParams, cycle_conditional
-from loopsieve.cycles import minimum_cycle_basis
-from loopsieve.synth import SynthSpec, generate
 
 
 def single_cycle_fg(z=0.3, k=3, n_fixed=2):
@@ -143,6 +147,27 @@ class TestIncidence:
         assert fg.var_incidences.shape == (1, 0)
 
 
+class TestLimits:
+    def test_cycle_one_over_the_cap_is_refused(self):
+        at_cap = loop_closure_ring(DEFAULT_LC_CAP)
+        fg = build_factor_graph(at_cap, minimum_cycle_basis(at_cap))
+        assert [len(f.lc_members) for f in fg.factors] == [DEFAULT_LC_CAP]
+        over = loop_closure_ring(DEFAULT_LC_CAP + 1)
+        with pytest.raises(CycleCapError, match="cycle 0 has 17 loop-closure members"):
+            build_factor_graph(over, minimum_cycle_basis(over))
+
+    def test_exact_block_over_the_limit_is_refused(self):
+        # cycles of 16 and 8 loop closures that share edge 15: one
+        # 23-variable block, one over EXACT_ENUMERATION_LIMIT
+        fg = FactorGraph(tuple(range(23)), (
+            CycleFactor(0, tuple(range(16)), 0, 0.1),
+            CycleFactor(1, tuple(range(15, 23)), 0, 0.1),
+        ))
+        assert EXACT_ENUMERATION_LIMIT == 22
+        with pytest.raises(ValueError, match="23-edge block exceeds the limit of 22"):
+            exact_marginals(fg, uniform_params(fg.variables))
+
+
 class TestBatchedMatchesReference:
     """run_bp against the per-message loop above: same schedule, same stop."""
 
@@ -212,8 +237,6 @@ class TestFactorToVar:
         p = uniform_params((0,))
         state = init_messages(fg, p)
         msg = factor_to_var(state, fg, p, 0, 0)
-        from loopsieve.model import log_cycle_likelihood
-
         factor = fg.factors[0]
         raw = np.exp([
             log_cycle_likelihood(factor, 0, p),
@@ -259,7 +282,7 @@ class TestRunBp:
             dist = cycle_conditional(fg.factors[0], p)
             for j, eid in enumerate(fg.factors[0].lc_members):
                 assert result.edge_marginals[eid] == pytest.approx(
-                    dist.inlier_marginal(j), abs=1e-8
+                    inlier_marginal(dist, j), abs=1e-8
                 )
 
     def test_tree_factor_graph_exact(self):

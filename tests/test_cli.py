@@ -2,8 +2,10 @@ import math
 
 from click.testing import CliRunner
 
+from conftest import loop_closure_ring
 from loopsieve.cli import main
 from loopsieve.graph import graph_to_text
+from loopsieve.model import DEFAULT_LC_CAP
 from loopsieve.synth import SynthSpec, generate
 
 
@@ -79,6 +81,17 @@ def test_classify_tsv(tmp_path):
     body = [l for l in lines[1:] if "\t" in l]
     assert len(body) == 8
     assert all(l.split("\t")[2] in ("IN", "OUT") for l in body)
+
+
+def test_classify_cycle_over_cap_fails_with_one_line(tmp_path):
+    graph_file = tmp_path / "ring.pgraph"
+    graph_file.write_text(graph_to_text(loop_closure_ring(DEFAULT_LC_CAP + 1)))
+    result = CliRunner().invoke(main, ["classify", str(graph_file), "--method", "bp"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"Error: cycle 0 has {DEFAULT_LC_CAP + 1} loop-closure members, over the cap "
+        f"of {DEFAULT_LC_CAP}; raise the cap or prune the cycle"
+    ]
 
 
 def test_classify_with_em(tmp_path):
