@@ -188,20 +188,23 @@ def _min_odd_cycle(adjacency, endpoints, odd_edges: set[int]) -> set[int]:
 
 
 def _lifted_shortest_path(adjacency, odd_edges, source: int) -> list[int] | None:
-    """BFS from (source, 0) to (source, 1); returns the edge ids of the path."""
-    start = (source, 0)
-    goal = (source, 1)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, -1)}
+    """BFS from (source, 0) to (source, 1); returns the edge ids of the path.
+
+    Lifted vertex (v, parity) is the integer 2*v + parity. The search ends
+    when the goal is first discovered: its parent, and so the path, is fixed
+    then.
+    """
+    start = 2 * source
+    goal = start + 1
+    parents: dict[int, tuple[int, int]] = {start: (start, -1)}
     queue = deque([start])
-    while queue:
-        node, parity = queue.popleft()
-        if (node, parity) == goal:
-            break
-        for eid, other in adjacency[node]:
-            flip = 1 if eid in odd_edges else 0
-            nxt = (other, parity ^ flip)
+    while queue and goal not in parents:
+        lifted = queue.popleft()
+        parity = lifted & 1
+        for eid, other in adjacency[lifted >> 1]:
+            nxt = 2 * other + (parity ^ (eid in odd_edges))
             if nxt not in parents:
-                parents[nxt] = ((node, parity), eid)
+                parents[nxt] = (lifted, eid)
                 queue.append(nxt)
     if goal not in parents:
         return None

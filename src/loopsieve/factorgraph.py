@@ -5,6 +5,11 @@ unary prior factor; every basis cycle that contains at least one loop-closure
 edge contributes an evidence factor. Exact posterior marginals are available
 by enumerating configurations, which is the reference all approximate
 back-ends are tested against.
+
+Enumeration runs per connected block. A block of n variables is one float64
+table of 2^n states, viewed as (2,)^n with variable i on axis n-1-i; each
+prior and cycle term is a small table broadcast into it in place, so the
+peak is about three 2^n float64 arrays per block.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .model import (
 )
 
 # Exact enumeration is O(2^n); refuse beyond this many coupled variables.
+# Its (2,)^n view also needs n <= 32, numpy 1.x's limit on array dimensions.
 EXACT_ENUMERATION_LIMIT = 22
 
 
@@ -202,36 +208,38 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
                 f"{EXACT_ENUMERATION_LIMIT}"
             )
         position = {eid: i for i, eid in enumerate(var_ids)}
-        masks = np.arange(1 << n, dtype=np.int64)
-        log_p = np.zeros(1 << n)
-        for eid in var_ids:
+        prob = np.zeros(1 << n)  # log p of every state until normalized in place
+        cube = prob.reshape((2,) * n)
+        # bits[i]: bit i of the state index, broadcast along axis n-1-i of cube
+        bits = [np.arange(2).reshape((1,) * (n - 1 - i) + (2,) + (1,) * i) for i in range(n)]
+        for i, eid in enumerate(var_ids):
             log_in, log_out = log_prior_vector(np.array([params.prior(eid)]))
-            bit = (masks >> position[eid]) & 1
-            log_p = log_p + np.where(bit == 1, log_out[0], log_in[0])
-        local_masks = {}
+            cube += np.where(bits[i] == 1, log_out[0], log_in[0])
+        local_masks = []
         for f_idx in factor_indices:
-            factor = fg.factors[f_idx]
-            table = rows[offsets[f_idx] : offsets[f_idx + 1]]
-            s = np.zeros(1 << n, dtype=np.int64)
-            local = np.zeros(1 << n, dtype=np.int64)
-            for j, eid in enumerate(factor.lc_members):
-                bit = (masks >> position[eid]) & 1
-                s += bit
-                local += bit << j
-            log_p = log_p + table[s]
-            local_masks[f_idx] = local
-        peak = float(np.max(log_p))
-        weights = np.exp(log_p - peak)
-        total = float(weights.sum())
-        prob = weights / total
+            # the factor's own 2^k configurations: member j is local bit j
+            s = local = 0
+            for j, eid in enumerate(fg.factors[f_idx].lc_members):
+                bit = bits[position[eid]]
+                s = s + bit
+                local = local + (bit << j)
+            cube += rows[offsets[f_idx] : offsets[f_idx + 1]][s]
+            local_masks.append(local)
+        peak = float(np.max(prob))
+        prob -= peak
+        np.exp(prob, out=prob)
+        total = float(prob.sum())
+        prob /= total
         log_z += peak + np.log(total)
-        for eid in var_ids:
-            bit = (masks >> position[eid]) & 1
-            marginals[eid] = float(prob[bit == 0].sum())
-        for f_idx in factor_indices:
-            factor = fg.factors[f_idx]
-            k = len(factor.lc_members)
-            values = np.bincount(local_masks[f_idx], weights=prob, minlength=1 << k)
+        for i, eid in enumerate(var_ids):
+            # a contiguous copy in state order: summed as one flat array
+            inlier = np.take(cube, 0, axis=n - 1 - i)
+            marginals[eid] = float(inlier.ravel().sum())
+        for f_idx, local in zip(factor_indices, local_masks):
+            k = len(fg.factors[f_idx].lc_members)
+            values = np.bincount(
+                np.broadcast_to(local, cube.shape).ravel(), weights=prob, minlength=1 << k
+            )
             beliefs[f_idx] = CycleDistribution(values / values.sum())
 
     return InferenceResult(

@@ -37,7 +37,7 @@ class CycleCapError(ValueError):
     def __init__(self, cycle_id: int, size: int):
         super().__init__(
             f"cycle {cycle_id} has {size} loop-closure members, over the cap of "
-            f"{DEFAULT_LC_CAP}; raise the cap or prune the cycle"
+            f"{DEFAULT_LC_CAP}: each cycle's configuration table has 2^k entries"
         )
         self.cycle_id = cycle_id
 

@@ -1,10 +1,12 @@
 """Scalar and per-message reference implementations, for the tests only.
 
 The library computes with arrays: `model.log_likelihood_rows` is its one
-likelihood, `run_bp` updates messages in batches of equal cycle size, and
-`run_admm` solves the cycle subproblems of equal size in one batch. The
-functions here compute the same quantities one scalar, one factor or one
-message at a time; the tests compare the batched code against them.
+likelihood, `run_bp` updates messages in batches of equal cycle size,
+`run_admm` solves the cycle subproblems of equal size in one batch, and
+`exact_marginals` adds small broadcast tables into one (2,)^n view per
+block. The functions here compute the same quantities one scalar, one
+factor, one message or one full-length state array at a time; the tests
+compare the library against them.
 
 Import them as `from reference import ...`, like `conftest`.
 """
@@ -12,13 +14,19 @@ Import them as `from reference import ...`, like `conftest`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from loopsieve.cycles import CycleBasis
-from loopsieve.factorgraph import FactorGraph
+from loopsieve.factorgraph import (
+    EXACT_ENUMERATION_LIMIT,
+    FactorGraph,
+    InferenceResult,
+    _connected_components,
+)
 from loopsieve.graph import EdgeKind, PoseGraph
 from loopsieve.infer_admm import (
     SUBPROBLEM_MAX_ITERS,
@@ -36,6 +44,7 @@ from loopsieve.model import (
     cycle_conditionals,
     factors_from_basis,
     log_likelihood_rows,
+    log_prior_vector,
     log_psi_table,
     truncated_gaussian_mass,
 )
@@ -119,6 +128,100 @@ def joint_log_density(
         s = sum(x[eid] for eid in factor.lc_members)
         total += log_cycle_likelihood(factor, s, params)
     return total
+
+
+# --- the cycle basis search on tuple-keyed lifted vertices ----------------
+
+
+def reference_lifted_shortest_path(adjacency, odd_edges, source: int) -> list[int] | None:
+    """BFS from (source, 0) to (source, 1) on (vertex, parity) tuples, run
+    until the goal is dequeued; returns the edge ids of the path."""
+    start = (source, 0)
+    goal = (source, 1)
+    parents: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, -1)}
+    queue = deque([start])
+    while queue:
+        node, parity = queue.popleft()
+        if (node, parity) == goal:
+            break
+        for eid, other in adjacency[node]:
+            flip = 1 if eid in odd_edges else 0
+            nxt = (other, parity ^ flip)
+            if nxt not in parents:
+                parents[nxt] = ((node, parity), eid)
+                queue.append(nxt)
+    if goal not in parents:
+        return None
+    path: list[int] = []
+    cursor = goal
+    while cursor != start:
+        cursor, eid = parents[cursor]
+        path.append(eid)
+    path.reverse()
+    return path
+
+
+# --- exact enumeration on full-length state arrays -----------------------
+
+
+def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
+    """Posterior marginals by enumeration, one connected block at a time,
+    with one int64 array of 2^n states per factor and per-member bit masks."""
+    marginals: dict[int, float] = {
+        eid: params.prior(eid) for eid in fg.variables
+    }
+    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
+    # factor f's log p(z | s), s = 0 .. k, is rows[offsets[f] : offsets[f + 1]]
+    rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
+    offsets = np.cumsum([0] + [len(f.lc_members) + 1 for f in fg.factors])
+    log_z = 0.0
+    for var_ids, factor_indices in _connected_components(fg):
+        n = len(var_ids)
+        if n > EXACT_ENUMERATION_LIMIT:
+            raise ValueError(
+                f"exact enumeration over a {n}-edge block exceeds the limit of "
+                f"{EXACT_ENUMERATION_LIMIT}"
+            )
+        position = {eid: i for i, eid in enumerate(var_ids)}
+        masks = np.arange(1 << n, dtype=np.int64)
+        log_p = np.zeros(1 << n)
+        for eid in var_ids:
+            log_in, log_out = log_prior_vector(np.array([params.prior(eid)]))
+            bit = (masks >> position[eid]) & 1
+            log_p = log_p + np.where(bit == 1, log_out[0], log_in[0])
+        local_masks = {}
+        for f_idx in factor_indices:
+            factor = fg.factors[f_idx]
+            table = rows[offsets[f_idx] : offsets[f_idx + 1]]
+            s = np.zeros(1 << n, dtype=np.int64)
+            local = np.zeros(1 << n, dtype=np.int64)
+            for j, eid in enumerate(factor.lc_members):
+                bit = (masks >> position[eid]) & 1
+                s += bit
+                local += bit << j
+            log_p = log_p + table[s]
+            local_masks[f_idx] = local
+        peak = float(np.max(log_p))
+        weights = np.exp(log_p - peak)
+        total = float(weights.sum())
+        prob = weights / total
+        log_z += peak + np.log(total)
+        for eid in var_ids:
+            bit = (masks >> position[eid]) & 1
+            marginals[eid] = float(prob[bit == 0].sum())
+        for f_idx in factor_indices:
+            factor = fg.factors[f_idx]
+            k = len(factor.lc_members)
+            values = np.bincount(local_masks[f_idx], weights=prob, minlength=1 << k)
+            beliefs[f_idx] = CycleDistribution(values / values.sum())
+
+    return InferenceResult(
+        marginals,
+        tuple(beliefs),  # type: ignore[arg-type]
+        True,
+        1,
+        log_evidence=log_z,
+    )
 
 
 # --- BP, one message at a time -------------------------------------------

@@ -90,7 +90,7 @@ def test_classify_cycle_over_cap_fails_with_one_line(tmp_path):
     assert result.exit_code == 1
     assert result.output.splitlines() == [
         f"Error: cycle 0 has {DEFAULT_LC_CAP + 1} loop-closure members, over the cap "
-        f"of {DEFAULT_LC_CAP}; raise the cap or prune the cycle"
+        f"of {DEFAULT_LC_CAP}: each cycle's configuration table has 2^k entries"
     ]
 
 

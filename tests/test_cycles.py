@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_mcb_weight, make_graph, random_multigraph
+from loopsieve import cycles
 from loopsieve.cycles import (
     Cycle,
     CycleError,
@@ -16,6 +17,7 @@ from loopsieve.cycles import (
 from loopsieve.graph import EdgeKind
 from loopsieve.so3 import exp_so3
 from loopsieve.synth import SynthSpec, generate
+from reference import reference_lifted_shortest_path
 
 
 def basis_edge_sets(basis):
@@ -103,6 +105,22 @@ class TestMinimumCycleBasis:
         for cycle in minimum_cycle_basis(g).cycles:
             members = [e for e in cycle.edge_ids if e in lc_ids]
             assert len(members) >= 2
+
+    def test_same_ordered_basis_as_tuple_keyed_search(self, monkeypatch, rng):
+        # the m = 100 graphs of the perfbench em-fit workload, seeds 1-5,
+        # one m = 200 graph and small random multigraphs
+        graphs = [
+            generate(SynthSpec(m_lc=100, num_outliers=k, seed=int(
+                np.random.SeedSequence([seed, 100, k, 0]).generate_state(1)[0]
+            )))
+            for seed in range(1, 6)
+            for k in (10, 20, 30, 40)
+        ]
+        graphs.append(generate(SynthSpec(m_lc=200, num_outliers=40, nodes_per_map=50, seed=1)))
+        graphs += [random_multigraph(rng, max_edges=10) for _ in range(30)]
+        library = [minimum_cycle_basis(g) for g in graphs]
+        monkeypatch.setattr(cycles, "_lifted_shortest_path", reference_lifted_shortest_path)
+        assert [minimum_cycle_basis(g) for g in graphs] == library
 
 
 def _gf2_rank(masks):
