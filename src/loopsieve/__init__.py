@@ -30,7 +30,7 @@ from .graph import (
 )
 from .infer_admm import AdmmOptions, AdmmResult, run_admm
 from .infer_bp import run_bp
-from .model import CycleDistribution, CycleFactor, ModelParams
+from .model import CycleFactor, ModelParams
 from .synth import SynthSpec, generate, generate_suite
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "ClassificationResult",
     "Cycle",
     "CycleBasis",
-    "CycleDistribution",
     "CycleFactor",
     "Edge",
     "EdgeKind",

@@ -1,14 +1,14 @@
 """Expectation-Maximization over the noise scales and edge priors.
 
-The E-step obtains edge and cycle responsibilities from any inference
-back-end. The M-step sets each loop-closure prior to its inlier
-responsibility, and picks the (sigma, sigma_bar) grid pair maximizing the
-expected log-likelihood of the cycle errors. The expected likelihood of a
-cycle depends on its configuration only through the outlier count, so the
-objective is evaluated from count marginals (k + 1 terms instead of 2^k).
-The whole grid is scored as one table per M-step: log p(z | s) for every
-(cycle, s) row under every candidate pair, times the stacked count
-marginals, with ties going to the first (smallest) pair.
+The E-step obtains edge responsibilities and each cycle's outlier-count
+marginals from any inference back-end. The M-step sets each loop-closure
+prior to its inlier responsibility, and picks the (sigma, sigma_bar) grid
+pair maximizing the expected log-likelihood of the cycle errors. The
+expected likelihood of a cycle depends on its configuration only through
+the outlier count, so k + 1 terms per cycle suffice. The whole grid is
+scored as one table per M-step: log p(z | s) for every (cycle, s) row under
+every candidate pair, times the count marginals in the same row layout,
+with ties going to the first (smallest) pair.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .factorgraph import (
 from .infer_admm import run_admm
 from .infer_bp import run_bp
 from .model import (
-    CycleDistribution,
     CycleFactor,
     ModelParams,
     log_likelihood_rows,
@@ -105,7 +104,8 @@ class EmTrace:
 def e_step(
     fg: FactorGraph, params: ModelParams, method: InferenceMethod
 ) -> InferenceResult:
-    """Edge and cycle responsibilities under the current parameters.
+    """Edge responsibilities and count marginals under the current
+    parameters.
 
     This is the library's one map from an InferenceMethod to its back-end,
     each run with its default settings; `bench.classify` screens through
@@ -132,26 +132,23 @@ def m_step_priors(
 
 def expected_log_likelihoods(
     factors: Sequence[CycleFactor],
-    cycle_beliefs: Sequence[CycleDistribution],
+    count_marginals: np.ndarray,
     pairs: Sequence[tuple[float, float]],
     include_psi: bool,
 ) -> np.ndarray:
     """Expected log-likelihood of all cycles under each (sigma, sigma_bar)
     pair: one weighted sum of its row of log_likelihood_rows, weighted by
-    the beliefs' outlier-count marginals stacked in factor order."""
-    weights = np.concatenate(
-        [np.zeros(0)] + [b.outlier_count_marginals() for b in cycle_beliefs]
-    )
+    the count marginals, which share its row layout."""
     table = log_likelihood_rows(factors, pairs)
     # a row-wise sum, so that equal rows score equal and ties stay ties
-    values = (table * weights).sum(axis=1)
+    values = (table * count_marginals).sum(axis=1)
     if include_psi:
         values -= log_psi_table(factors, table).sum(axis=1)
     return values
 
 
 def m_step_sigmas(
-    cycle_beliefs: Sequence[CycleDistribution],
+    count_marginals: np.ndarray,
     factors: Sequence[CycleFactor],
     cfg: EmConfig,
 ) -> tuple[float, float]:
@@ -166,7 +163,7 @@ def m_step_sigmas(
         for sigma_bar in cfg.sigma_bar_grid
         if sigma_bar > sigma
     ]
-    values = expected_log_likelihoods(factors, cycle_beliefs, pairs, cfg.include_psi)
+    values = expected_log_likelihoods(factors, count_marginals, pairs, cfg.include_psi)
     return pairs[int(np.argmax(values))]
 
 
@@ -188,7 +185,7 @@ def q_value(
             total += (1.0 - gamma) * (math.log1p(-pi) if pi < 1 else -math.inf)
     cycles = expected_log_likelihoods(
         fg.factors,
-        responsibilities.cycle_beliefs,
+        responsibilities.count_marginals,
         [(params.sigma, params.sigma_bar)],
         cfg.include_psi,
     )
@@ -224,7 +221,7 @@ def run_em(
             else m_step_priors(responsibilities.edge_marginals, params)
         )
         sigma, sigma_bar = m_step_sigmas(
-            responsibilities.cycle_beliefs, fg.factors, cfg
+            responsibilities.count_marginals, fg.factors, cfg
         )
         params = ModelParams(sigma, sigma_bar, priors)
         q = q_value(fg, responsibilities, params, cfg)

@@ -25,7 +25,6 @@ from .graph import PoseGraph, loop_closure_edges
 from .model import (
     DEFAULT_LC_CAP,
     CycleCapError,
-    CycleDistribution,
     CycleFactor,
     ModelParams,
     factors_from_basis,
@@ -43,12 +42,14 @@ class CycleGroup:
     """The factors with k loop-closure members.
 
     factors holds their indices in factor order; row r of rows holds the
-    incidence rows of factor factors[r], one per member in member order.
+    incidence rows of factor factors[r], one per member in member order,
+    and row r of count_rows its k + 1 count rows, s = 0 .. k.
     """
 
     k: int
     factors: np.ndarray
     rows: np.ndarray
+    count_rows: np.ndarray
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -69,7 +70,10 @@ class FactorGraph:
 
     An incidence is one (factor, member) pair. Incidence rows are numbered
     in factor order, members in member order, so the rows of factor f are
-    contiguous; the array-backed views below are built once per graph.
+    contiguous. Count rows, one per (factor, s) with s = 0 .. k, run the same
+    way: the layout of log_likelihood_rows(factors, pairs) and of
+    InferenceResult.count_marginals. The array-backed views below are built
+    once per graph.
     """
 
     variables: tuple[int, ...]
@@ -108,9 +112,16 @@ class FactorGraph:
                 k,
                 _read_only(np.array(f_indices, dtype=np.intp)),
                 _read_only(starts[f_indices][:, None] + np.arange(k, dtype=np.intp)),
+                _read_only(self.row_starts[f_indices][:, None] + np.arange(k + 1, dtype=np.intp)),
             )
             for k, f_indices in by_k.items()
         )
+
+    @cached_property
+    def row_starts(self) -> np.ndarray:
+        """First count row of each factor; factor f has k + 1 rows from there."""
+        sizes = np.array([len(f.lc_members) + 1 for f in self.factors], dtype=np.intp)
+        return _read_only(np.cumsum(sizes) - sizes)
 
     @cached_property
     def var_incidences(self) -> np.ndarray:
@@ -131,13 +142,15 @@ class FactorGraph:
 class InferenceResult:
     """Marginals from any back-end, in a common shape.
 
-    edge_marginals maps every loop-closure edge id to its inlier probability;
-    cycle_beliefs align with the factor graph's factors. log_evidence is
-    filled in only by exact enumeration.
+    edge_marginals maps every loop-closure edge id to its inlier probability.
+    count_marginals holds each factor's distribution of its outlier count s,
+    one float64 entry per count row of the factor graph (s = 0 .. k per
+    factor, factors in order). log_evidence is filled in only by exact
+    enumeration.
     """
 
     edge_marginals: dict[int, float]
-    cycle_beliefs: tuple[CycleDistribution, ...]
+    count_marginals: np.ndarray
     converged: bool
     iterations: int
     log_evidence: float = float("nan")
@@ -195,10 +208,8 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
     marginals: dict[int, float] = {
         eid: params.prior(eid) for eid in fg.variables
     }
-    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
-    # factor f's log p(z | s), s = 0 .. k, is rows[offsets[f] : offsets[f + 1]]
     rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
-    offsets = np.cumsum([0] + [len(f.lc_members) + 1 for f in fg.factors])
+    counts = np.zeros_like(rows)
     log_z = 0.0
     for var_ids, factor_indices in _connected_components(fg):
         n = len(var_ids)
@@ -215,16 +226,15 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
         for i, eid in enumerate(var_ids):
             log_in, log_out = log_prior_vector(np.array([params.prior(eid)]))
             cube += np.where(bits[i] == 1, log_out[0], log_in[0])
-        local_masks = []
+        outlier_counts = []  # (count rows, outlier-count table s) per factor
         for f_idx in factor_indices:
-            # the factor's own 2^k configurations: member j is local bit j
-            s = local = 0
-            for j, eid in enumerate(fg.factors[f_idx].lc_members):
-                bit = bits[position[eid]]
-                s = s + bit
-                local = local + (bit << j)
-            cube += rows[offsets[f_idx] : offsets[f_idx + 1]][s]
-            local_masks.append(local)
+            members = fg.factors[f_idx].lc_members
+            s = 0
+            for eid in members:
+                s = s + bits[position[eid]]
+            factor_rows = slice(fg.row_starts[f_idx], fg.row_starts[f_idx] + len(members) + 1)
+            cube += rows[factor_rows][s]
+            outlier_counts.append((factor_rows, s))
         peak = float(np.max(prob))
         prob -= peak
         np.exp(prob, out=prob)
@@ -235,18 +245,13 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
             # a contiguous copy in state order: summed as one flat array
             inlier = np.take(cube, 0, axis=n - 1 - i)
             marginals[eid] = float(inlier.ravel().sum())
-        for f_idx, local in zip(factor_indices, local_masks):
-            k = len(fg.factors[f_idx].lc_members)
+        for factor_rows, s in outlier_counts:
             values = np.bincount(
-                np.broadcast_to(local, cube.shape).ravel(), weights=prob, minlength=1 << k
+                np.broadcast_to(s, cube.shape).ravel(),
+                weights=prob,
+                minlength=factor_rows.stop - factor_rows.start,
             )
-            beliefs[f_idx] = CycleDistribution(values / values.sum())
+            counts[factor_rows] = values / values.sum()
 
-    return InferenceResult(
-        marginals,
-        tuple(beliefs),  # type: ignore[arg-type]
-        True,
-        1,
-        log_evidence=log_z,
-    )
+    return InferenceResult(marginals, counts, True, 1, log_evidence=log_z)
 

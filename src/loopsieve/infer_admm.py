@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult
-from .model import CycleDistribution, ModelParams, cycle_conditionals
+from .model import ModelParams, _popcounts, cycle_conditionals
 
 
 # Residual balancing (see update_rho): rho is multiplied or divided by
@@ -241,7 +241,7 @@ def run_admm(
     """Consensus ADMM until both residuals fall under tolerance.
 
     Returns the consensus inlier probabilities w as edge marginals and the
-    per-cycle distributions v_c as cycle beliefs.
+    outlier-count marginals of the per-cycle distributions v_c.
     """
     opts = opts or AdmmOptions()
     variables = fg.variables
@@ -316,13 +316,16 @@ def run_admm(
             rho = new_rho
 
     marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
-    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
+    counts = np.empty(n_rows + len(fg.factors))
     for group, block in zip(groups, v):
-        for f_idx, row in zip(group.factors, block):
-            beliefs[f_idx] = CycleDistribution(np.maximum(row, 0.0) / row.sum())
+        # bin r (k + 1) + s adds the entries of row r with s outliers, in mask order
+        bins = np.arange(len(block))[:, None] * (group.k + 1) + _popcounts(group.k)
+        normalized = np.maximum(block, 0.0) / block.sum(axis=1, keepdims=True)
+        folded = np.bincount(bins.ravel(), weights=normalized.ravel())
+        counts[group.count_rows] = folded.reshape(group.count_rows.shape)
     return AdmmResult(
         edge_marginals=marginal_map,
-        cycle_beliefs=tuple(beliefs),  # type: ignore[arg-type]
+        count_marginals=counts,
         converged=converged,
         iterations=iterations,
         rho_final=rho,

@@ -15,17 +15,21 @@ messages marginalize via an O(k^2) counting convolution instead of
 one per cycle size k. Each factor's weights over s = 0 .. k are
 exp(log p(z | s)) from :func:`~loopsieve.model.log_likelihood_rows`,
 rescaled by the factor's maximum; beliefs are invariant to that positive
-per-factor scaling, and the shift guards against underflow. The
-per-message reference, the same arithmetic one message at a time, is in
-``tests/reference.py``; the tests check the batches against it.
+per-factor scaling, and the shift guards against underflow. A factor's
+count marginals are the same convolution over all k of its incoming
+messages, times its weights. The per-message reference, the same
+arithmetic one message at a time, is in ``tests/reference.py``; the tests
+check the batches against it.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult
-from .model import CycleDistribution, ModelParams, log_likelihood_rows
+from .model import ModelParams, log_likelihood_rows
 
 MESSAGE_FLOOR = 1e-300
 
@@ -40,6 +44,18 @@ def _normalize(msgs: np.ndarray) -> np.ndarray:
     return clipped / clipped.sum(axis=-1, keepdims=True)
 
 
+def _count_convolution(incoming: np.ndarray, members: Iterable[int]) -> np.ndarray:
+    """Distribution of the outlier count among the given members of each
+    factor: incoming is (F, k, 2), the result (F, len(members) + 1)."""
+    poly = np.ones((incoming.shape[0], 1))
+    for member in members:
+        nxt = np.zeros((incoming.shape[0], poly.shape[1] + 1))
+        nxt[:, :-1] += poly * incoming[:, member, 0:1]
+        nxt[:, 1:] += poly * incoming[:, member, 1:2]
+        poly = nxt
+    return poly
+
+
 def _factor_messages(
     to_factor: np.ndarray, rows: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -52,14 +68,7 @@ def _factor_messages(
     incoming = to_factor[rows]
     out = np.empty((n_factors, k, 2))
     for j in range(k):
-        poly = np.ones((n_factors, 1))
-        for member in range(k):
-            if member == j:
-                continue
-            nxt = np.zeros((n_factors, poly.shape[1] + 1))
-            nxt[:, :-1] += poly * incoming[:, member, 0:1]
-            nxt[:, 1:] += poly * incoming[:, member, 1:2]
-            poly = nxt
+        poly = _count_convolution(incoming, [m for m in range(k) if m != j])
         # A stacked (1, k) @ (k, 1) product adds in the same order as the
         # reference's 1-D dot, so each message is bit-identical.
         stacked = poly[:, None, :]
@@ -77,11 +86,10 @@ def run_bp(
 ) -> InferenceResult:
     """Damped loopy BP; non-convergence yields best-effort beliefs."""
     groups = fg.cycle_groups
+    rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
     weights = []
     for group in groups:
-        factors = [fg.factors[f] for f in group.factors]
-        table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
-        table = table.reshape(len(factors), group.k + 1)
+        table = rows[group.count_rows]
         weights.append(np.exp(table - table.max(axis=1, keepdims=True)))
     inc_var = fg.incidence_var
     n_inc = len(inc_var)
@@ -127,22 +135,12 @@ def run_bp(
     belief = _normalize(belief)
     marginals = {eid: float(b) for eid, b in zip(fg.variables, belief[:, 0])}
 
-    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
-    log_msg = np.log(np.maximum(to_factor, MESSAGE_FLOOR))
+    # Each message sums to 1, so each convolution does and its largest entry
+    # is at least 1 / (k + 1); the floor on w keeps every total above 0.
+    counts = np.empty_like(rows)
     for group, w in zip(groups, weights):
-        masks = np.arange(1 << group.k)
-        log_b = np.zeros((len(group.factors), 1 << group.k))
-        counts = np.zeros(1 << group.k, dtype=int)
-        for j in range(group.k):
-            bit = (masks >> j) & 1
-            counts += bit
-            member = log_msg[group.rows[:, j]]
-            log_b += np.where(bit == 1, member[:, 1:2], member[:, 0:1])
-        log_b += np.log(np.maximum(w[:, counts], MESSAGE_FLOOR))
-        log_b -= log_b.max(axis=1, keepdims=True)
-        b = np.exp(log_b)
-        b /= b.sum(axis=1, keepdims=True)
-        for f_idx, row in zip(group.factors, b):
-            beliefs[f_idx] = CycleDistribution(row)
+        c = _count_convolution(to_factor[group.rows], range(group.k))
+        c *= np.maximum(w, MESSAGE_FLOOR)
+        counts[group.count_rows] = c / c.sum(axis=1, keepdims=True)
 
-    return InferenceResult(marginals, tuple(beliefs), converged, iterations)  # type: ignore[arg-type]
+    return InferenceResult(marginals, counts, converged, iterations)

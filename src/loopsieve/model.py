@@ -7,7 +7,9 @@ n_fixed trusted ego edges has error standard deviation
 
 and the cycle error z follows a truncated Gaussian on [0, pi] with that
 scale. Likelihoods depend on a configuration only through its outlier
-count, which the inference back-ends exploit.
+count, which the inference back-ends exploit: each reports a cycle's
+posterior as the k + 1 marginals of its outlier count, and EM weights the
+rows of :func:`log_likelihood_rows` by them.
 
 :func:`log_likelihood_rows` is the library's single density: BP's message
 weights, exact enumeration, the cycle conditionals that ADMM starts from,
@@ -97,37 +99,6 @@ class CycleFactor:
     @property
     def length(self) -> int:
         return self.n_fixed + len(self.lc_members)
-
-
-@dataclass(frozen=True, eq=False)
-class CycleDistribution:
-    """Probabilities over the 2^k outlier configurations of a cycle.
-
-    Bit k of the index mask is 1 when lc_members[k] is an outlier.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        n = vals.shape[0]
-        if vals.ndim != 1 or n == 0 or n & (n - 1):
-            raise ValueError("values must be a length-2^k vector")
-        if np.any(vals < 0) or abs(float(vals.sum()) - 1.0) > 1e-9:
-            raise ValueError("values must be a normalized probability vector")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_members(self) -> int:
-        return int(self.values.shape[0]).bit_length() - 1
-
-    def outlier_count_marginals(self) -> np.ndarray:
-        """Distribution of the outlier count s; length n_members + 1."""
-        return np.bincount(
-            _popcounts(self.n_members), weights=self.values, minlength=self.n_members + 1
-        )
 
 
 def truncated_gaussian_mass(sigma: float) -> float:

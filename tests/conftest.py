@@ -246,6 +246,19 @@ def pooled_factor_graph(graphs) -> FactorGraph:
     return FactorGraph(tuple(sorted(variables)), tuple(factors))
 
 
+def mean_count_gaps(fg: FactorGraph, result) -> np.ndarray:
+    """Per factor, |sum_s s c_f(s) - sum_j (1 - p_inlier(j))|: the mean
+    outlier count of its count marginals against the outlier probabilities
+    of its members. Zero whenever the two are consistent."""
+    gaps = []
+    for factor, start in zip(fg.factors, fg.row_starts):
+        k = len(factor.lc_members)
+        mean = float(np.arange(k + 1) @ result.count_marginals[start : start + k + 1])
+        expected = sum(1.0 - result.edge_marginals[eid] for eid in factor.lc_members)
+        gaps.append(abs(mean - expected))
+    return np.array(gaps)
+
+
 def uniform_params(edge_ids, sigma=math.radians(2.0), sigma_bar=math.radians(20.0), prior=0.5):
     return ModelParams(sigma, sigma_bar, {eid: prior for eid in edge_ids})
 

@@ -8,6 +8,12 @@ block. The functions here compute the same quantities one scalar, one
 factor, one message or one full-length state array at a time; the tests
 compare the library against them.
 
+The library reports each cycle's posterior only as the marginals of its
+outlier count. The references here keep the posterior over all 2^k
+configurations of each cycle, as a plain array whose bit j of the index is
+1 when member j is an outlier, and :func:`fold_by_count` reduces those to
+the library's layout.
+
 Import them as `from reference import ...`, like `conftest`.
 """
 
@@ -35,9 +41,8 @@ from loopsieve.infer_admm import (
     _solve_batch,
     marginalization_matrix,
 )
-from loopsieve.infer_bp import _normalize
+from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
 from loopsieve.model import (
-    CycleDistribution,
     CycleFactor,
     ModelParams,
     _std,
@@ -87,19 +92,31 @@ def log_psi(factor: CycleFactor, params: ModelParams) -> float:
     return float(log_psi_table((factor,), table)[0, 0])
 
 
-def cycle_conditional(factor: CycleFactor, params: ModelParams) -> CycleDistribution:
-    """Posterior over the cycle's own configurations given its error alone.
+def cycle_conditional(factor: CycleFactor, params: ModelParams) -> np.ndarray:
+    """Posterior over the cycle's own 2^k configurations given its error alone.
 
     p(mask) is proportional to p(z | popcount(mask)) times the member priors.
     """
-    return CycleDistribution(cycle_conditionals((factor,), params)[0])
+    return cycle_conditionals((factor,), params)[0]
 
 
-def inlier_marginal(dist: CycleDistribution, member_index: int) -> float:
+def inlier_marginal(dist: np.ndarray, member_index: int) -> float:
     """P(member is an inlier): total mass of masks with that bit clear."""
-    masks = np.arange(dist.values.shape[0])
+    masks = np.arange(dist.shape[0])
     keep = (masks >> member_index) & 1 == 0
-    return float(dist.values[keep].sum())
+    return float(dist[keep].sum())
+
+
+def fold_by_count(dists) -> np.ndarray:
+    """Configuration distributions, one per factor in factor order, folded
+    into the count-marginal layout: the mass of the masks with s bits set,
+    s = 0 .. k, for each factor in turn."""
+    out = [np.zeros(0)]
+    for dist in dists:
+        k = dist.shape[0].bit_length() - 1
+        popcounts = np.array([bin(mask).count("1") for mask in range(1 << k)])
+        out.append(np.bincount(popcounts, weights=dist, minlength=k + 1))
+    return np.concatenate(out)
 
 
 def joint_log_density(
@@ -166,11 +183,12 @@ def reference_lifted_shortest_path(adjacency, odd_edges, source: int) -> list[in
 
 def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
     """Posterior marginals by enumeration, one connected block at a time,
-    with one int64 array of 2^n states per factor and per-member bit masks."""
+    with one int64 array of 2^n states per factor and per-member bit masks;
+    each factor's 2^k configuration posterior is folded by count."""
     marginals: dict[int, float] = {
         eid: params.prior(eid) for eid in fg.variables
     }
-    beliefs: list[CycleDistribution | None] = [None] * len(fg.factors)
+    beliefs: list[np.ndarray | None] = [None] * len(fg.factors)
     # factor f's log p(z | s), s = 0 .. k, is rows[offsets[f] : offsets[f + 1]]
     rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
     offsets = np.cumsum([0] + [len(f.lc_members) + 1 for f in fg.factors])
@@ -213,15 +231,9 @@ def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> Inference
             factor = fg.factors[f_idx]
             k = len(factor.lc_members)
             values = np.bincount(local_masks[f_idx], weights=prob, minlength=1 << k)
-            beliefs[f_idx] = CycleDistribution(values / values.sum())
+            beliefs[f_idx] = values / values.sum()
 
-    return InferenceResult(
-        marginals,
-        tuple(beliefs),  # type: ignore[arg-type]
-        True,
-        1,
-        log_evidence=log_z,
-    )
+    return InferenceResult(marginals, fold_by_count(beliefs), True, 1, log_evidence=log_z)
 
 
 # --- BP, one message at a time -------------------------------------------
@@ -336,6 +348,69 @@ def init_messages(fg: FactorGraph, params: ModelParams) -> MessageState:
             to_var[(f_idx, eid)] = np.array([0.5, 0.5])
             to_factor[(eid, f_idx)] = prior_message(params, eid)
     return MessageState(to_var, to_factor)
+
+
+def factor_beliefs(state: MessageState, fg: FactorGraph, params: ModelParams) -> list[np.ndarray]:
+    """Each factor's belief over its 2^k configurations, in the log domain:
+    its likelihood weights times the incoming variable messages, each
+    clipped at MESSAGE_FLOOR."""
+    beliefs = []
+    for f_idx, factor in enumerate(fg.factors):
+        k = len(factor.lc_members)
+        masks = np.arange(1 << k)
+        s = np.zeros(1 << k, dtype=np.intp)
+        log_b = np.zeros(1 << k)
+        for j, eid in enumerate(factor.lc_members):
+            bit = (masks >> j) & 1
+            s += bit
+            log_b += np.log(np.maximum(state.to_factor[(eid, f_idx)], MESSAGE_FLOOR))[bit]
+        log_b += np.log(np.maximum(likelihood_weights(factor, params), MESSAGE_FLOOR))[s]
+        b = np.exp(log_b - log_b.max())
+        beliefs.append(b / b.sum())
+    return beliefs
+
+
+def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
+    """BP one message at a time: all factor messages from the old variable
+    messages, then all variable messages from the new factor messages.
+
+    Returns (edge marginals, count marginals, iterations, converged).
+    """
+
+    def blend(old, fresh):
+        mixed = np.maximum(damping * old + (1.0 - damping) * fresh, MESSAGE_FLOOR)
+        return mixed / mixed.sum()
+
+    state = init_messages(fg, params)
+    weights = [likelihood_weights(f, params) for f in fg.factors]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        delta = 0.0
+        for f_idx, factor in enumerate(fg.factors):
+            for eid in factor.lc_members:
+                old = state.to_var[(f_idx, eid)]
+                new = blend(old, factor_to_var(state, fg, params, f_idx, eid, weights[f_idx]))
+                delta = max(delta, float(np.max(np.abs(new - old))))
+                state.to_var[(f_idx, eid)] = new
+        for eid in fg.variables:
+            for f_idx in fg.var_factors[eid]:
+                old = state.to_factor[(eid, f_idx)]
+                new = blend(old, var_to_factor(state, fg, params, eid, f_idx))
+                delta = max(delta, float(np.max(np.abs(new - old))))
+                state.to_factor[(eid, f_idx)] = new
+        if delta < tol:
+            converged = True
+            break
+
+    marginals = {}
+    for eid in fg.variables:
+        belief = prior_message(params, eid)
+        for f_idx in fg.var_factors[eid]:
+            belief = belief * state.to_var[(f_idx, eid)]
+        marginals[eid] = belief[0] / belief.sum()
+    counts = fold_by_count(factor_beliefs(state, fg, params))
+    return marginals, counts, iterations, converged
 
 
 # --- ADMM, one cycle subproblem at a time --------------------------------

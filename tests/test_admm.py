@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import three_cycle_factor_graph, uniform_params
+from conftest import mean_count_gaps, three_cycle_factor_graph, uniform_params
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
 from loopsieve.infer_admm import (
@@ -97,7 +97,7 @@ class TestSubproblem:
     def test_consistent_target_returns_v_hat(self):
         f = CycleFactor(0, (0, 1, 2), 0, 0.3)
         p = uniform_params((0, 1, 2))
-        v_hat = cycle_conditional(f, p).values
+        v_hat = cycle_conditional(f, p)
         pm = marginalization_matrix(3)
         w_c = pm @ v_hat
         v = solve_cycle_subproblem(v_hat, np.zeros(3), w_c, rho=1.0)
@@ -106,7 +106,7 @@ class TestSubproblem:
     def test_rho_zero_projects_v_hat(self):
         f = CycleFactor(0, (0, 1), 1, 0.2)
         p = uniform_params((0, 1))
-        v_hat = cycle_conditional(f, p).values
+        v_hat = cycle_conditional(f, p)
         v = solve_cycle_subproblem(v_hat, np.zeros(2), np.zeros(2), rho=0.0)
         assert v == pytest.approx(v_hat, abs=1e-8)
 
@@ -312,9 +312,7 @@ class TestRunAdmm:
         a = run_admm(fg, p)
         b = run_admm(FactorGraph(fg.variables, fg.factors), p)
         assert a.edge_marginals == b.edge_marginals
-        assert [x.values.tolist() for x in a.cycle_beliefs] == [
-            x.values.tolist() for x in b.cycle_beliefs
-        ]
+        assert a.count_marginals.tolist() == b.count_marginals.tolist()
 
     def test_convergence_study_three_cycles(self):
         # 100 random instances on the shared-edge topology must reach
@@ -354,12 +352,9 @@ class TestRunAdmm:
         p = uniform_params(fg.variables)
         result = run_admm(fg, p, AdmmOptions(scale_tol=False, tol=1e-10, max_iters=2000))
         assert result.converged
-        pos = {eid: i for i, eid in enumerate(fg.variables)}
-        for factor, belief in zip(fg.factors, result.cycle_beliefs):
-            for j, eid in enumerate(factor.lc_members):
-                assert inlier_marginal(belief, j) == pytest.approx(
-                    result.edge_marginals[eid], abs=1e-4
-                )
+        gaps = mean_count_gaps(fg, result)
+        for factor, gap in zip(fg.factors, gaps):
+            assert gap <= len(factor.lc_members) * 1e-4
 
     def test_deterministic(self):
         fg = three_cycle_factor_graph((0.15, 0.45, 0.3))

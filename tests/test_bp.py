@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import loop_closure_ring, three_cycle_factor_graph, uniform_params
+from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
 from loopsieve.factorgraph import (
     EXACT_ENUMERATION_LIMIT,
     FactorGraph,
     build_factor_graph,
     exact_marginals,
 )
-from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, run_bp
+from loopsieve.infer_bp import DEFAULT_DAMPING, MESSAGE_FLOOR, run_bp
 from loopsieve.model import DEFAULT_LC_CAP, CycleCapError, CycleFactor, ModelParams
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.synth import SynthSpec, generate
@@ -18,11 +18,13 @@ from reference import (
     cycle_conditional,
     factor_to_var,
     factor_to_var_enumerated,
+    fold_by_count,
     init_messages,
     inlier_marginal,
     likelihood_weights,
     log_cycle_likelihood,
     prior_message,
+    reference_bp,
     var_to_factor,
 )
 
@@ -39,55 +41,6 @@ def mixed_k_fg(rng):
         for c, m in enumerate(members)
     )
     return FactorGraph((0, 1, 2, 3, 4, 5, 6, 7, 9), factors)
-
-
-def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
-    """BP one message at a time: all factor messages from the old variable
-    messages, then all variable messages from the new factor messages."""
-
-    def blend(old, fresh):
-        mixed = np.maximum(damping * old + (1.0 - damping) * fresh, MESSAGE_FLOOR)
-        return mixed / mixed.sum()
-
-    state = init_messages(fg, params)
-    weights = [likelihood_weights(f, params) for f in fg.factors]
-    converged = False
-    for iterations in range(1, max_iters + 1):
-        delta = 0.0
-        for f_idx, factor in enumerate(fg.factors):
-            for eid in factor.lc_members:
-                old = state.to_var[(f_idx, eid)]
-                new = blend(old, factor_to_var(state, fg, params, f_idx, eid, weights[f_idx]))
-                delta = max(delta, float(np.max(np.abs(new - old))))
-                state.to_var[(f_idx, eid)] = new
-        for eid in fg.variables:
-            for f_idx in fg.var_factors[eid]:
-                old = state.to_factor[(eid, f_idx)]
-                new = blend(old, var_to_factor(state, fg, params, eid, f_idx))
-                delta = max(delta, float(np.max(np.abs(new - old))))
-                state.to_factor[(eid, f_idx)] = new
-        if delta < tol:
-            converged = True
-            break
-
-    marginals = {}
-    for eid in fg.variables:
-        belief = prior_message(params, eid)
-        for f_idx in fg.var_factors[eid]:
-            belief = belief * state.to_var[(f_idx, eid)]
-        marginals[eid] = belief[0] / belief.sum()
-    beliefs = []
-    for f_idx, factor in enumerate(fg.factors):
-        k = len(factor.lc_members)
-        values = np.empty(1 << k)
-        for mask in range(1 << k):
-            bits = [(mask >> j) & 1 for j in range(k)]
-            term = weights[f_idx][sum(bits)]
-            for bit, eid in zip(bits, factor.lc_members):
-                term *= state.to_factor[(eid, f_idx)][bit]
-            values[mask] = term
-        beliefs.append(values / values.sum())
-    return marginals, beliefs, iterations, converged
 
 
 class TestIncidence:
@@ -134,8 +87,8 @@ class TestIncidence:
 
     def test_cached_arrays_are_read_only(self, rng):
         fg = mixed_k_fg(rng)
-        arrays = [fg.incidence_var, fg.var_incidences]
-        arrays += [a for g in fg.cycle_groups for a in (g.factors, g.rows)]
+        arrays = [fg.incidence_var, fg.var_incidences, fg.row_starts]
+        arrays += [a for g in fg.cycle_groups for a in (g.factors, g.rows, g.count_rows)]
         for array in arrays:
             with pytest.raises(ValueError):
                 array[...] = 0
@@ -172,14 +125,14 @@ class TestBatchedMatchesReference:
     """run_bp against the per-message loop above: same schedule, same stop."""
 
     def check(self, fg, p, damping):
-        marginals, beliefs, iterations, converged = reference_bp(fg, p, damping)
+        marginals, counts, iterations, converged = reference_bp(fg, p, damping)
         result = run_bp(fg, p, damping=damping)
         assert result.iterations == iterations
         assert result.converged == converged
         for eid in fg.variables:
             assert result.edge_marginals[eid] == pytest.approx(marginals[eid], abs=1e-12)
-        for got, want in zip(result.cycle_beliefs, beliefs, strict=True):
-            assert got.values == pytest.approx(want, abs=1e-12)
+        assert result.count_marginals.shape == counts.shape
+        assert np.abs(result.count_marginals - counts).max(initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("damping", [0.0, 0.5])
     def test_mixed_cycle_sizes(self, rng, damping):
@@ -202,7 +155,7 @@ class TestBatchedMatchesReference:
         self.check(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping)
         result = run_bp(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping=damping)
         assert result.edge_marginals == {1: pytest.approx(0.3)}
-        assert result.cycle_beliefs == ()
+        assert result.count_marginals.shape == (0,)
 
 
 class TestVarToFactor:
@@ -300,6 +253,35 @@ class TestRunBp:
                 exact.edge_marginals[eid], abs=1e-6
             )
 
+    def test_tree_mean_count_matches_member_marginals(self):
+        # two cycles sharing edge 2 form a tree: at BP's fixed point each
+        # factor's count marginals agree with its members' marginals
+        factors = (
+            CycleFactor(0, (0, 1, 2), 1, 0.2),
+            CycleFactor(1, (2, 3, 4), 2, 0.05),
+        )
+        fg = FactorGraph((0, 1, 2, 3, 4), factors)
+        p = ModelParams(0.03, 0.3, {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.9, 4: 0.6})
+        result = run_bp(fg, p)
+        assert result.converged
+        assert mean_count_gaps(fg, result).max() <= 1e-6
+
+    def test_count_marginals_at_the_floor(self):
+        # all priors 1.0: every message into the 16-member factor sits at
+        # MESSAGE_FLOOR, and at z = pi the weights underflow to 0 at s = 0
+        # and s = 1, so only the floor on the weights keeps the total above 0
+        fg = single_cycle_fg(z=math.pi, k=DEFAULT_LC_CAP, n_fixed=0)
+        p = ModelParams(0.01, 0.03, {eid: 1.0 for eid in fg.variables})
+        state = init_messages(fg, p)
+        assert var_to_factor(state, fg, p, 0, 0)[1] == MESSAGE_FLOOR
+        weights = likelihood_weights(fg.factors[0], p)
+        assert weights[0] == 0.0 and weights[1] == 0.0
+        counts = run_bp(fg, p).count_marginals
+        assert np.all(np.isfinite(counts))
+        assert abs(counts.sum() - 1.0) <= 1e-12
+        _, expected, _, _ = reference_bp(fg, p, DEFAULT_DAMPING)
+        assert np.abs(counts - expected).max() <= 1e-12
+
     def test_undamped_tree_converges_in_two_sweeps(self):
         # a chain of factors (variable 1 shared) has factor-graph diameter 4;
         # undamped BP settles within 2 sweeps of the schedule and is exact
@@ -367,6 +349,7 @@ class TestRunBp:
         a = run_bp(fg, p)
         b = run_bp(fg, p)
         assert a.edge_marginals == b.edge_marginals
+        assert a.count_marginals.tolist() == b.count_marginals.tolist()
 
     def test_nonconvergence_returns_flag(self):
         fg = three_cycle_factor_graph((0.05, 0.4, 0.8))
@@ -386,8 +369,8 @@ class TestRunBp:
         fg = single_cycle_fg(z=0.3, k=2, n_fixed=1)
         p = uniform_params((0, 1), prior=0.6)
         result = run_bp(fg, p, tol=1e-10)
-        expected = cycle_conditional(fg.factors[0], p)
-        assert result.cycle_beliefs[0].values == pytest.approx(expected.values, abs=1e-8)
+        expected = fold_by_count([cycle_conditional(fg.factors[0], p)])
+        assert result.count_marginals == pytest.approx(expected, abs=1e-8)
 
 
 class TestBpOnRealGraphs:

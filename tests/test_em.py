@@ -25,8 +25,14 @@ from loopsieve.factorgraph import (
     exact_marginals,
 )
 from loopsieve.graph import EdgeKind
-from loopsieve.model import CycleDistribution, CycleFactor, ModelParams
-from reference import cycle_conditional, inlier_marginal, log_cycle_likelihood, log_psi
+from loopsieve.model import CycleFactor, ModelParams
+from reference import (
+    cycle_conditional,
+    fold_by_count,
+    inlier_marginal,
+    log_cycle_likelihood,
+    log_psi,
+)
 
 SIGMA_TRUE = math.radians(2.0)
 SIGMA_BAR_TRUE = math.radians(20.0)
@@ -48,10 +54,11 @@ def expected_cycle_term(factor, count_marginals, params, include_psi=True):
     return total
 
 
-def reference_m_step_sigmas(cycle_beliefs, factors, cfg):
+def reference_m_step_sigmas(count_marginals, factors, cfg):
     """Scalar reference of the grid M-step: the first pair with the
     largest objective wins."""
-    count_margs = [b.outlier_count_marginals() for b in cycle_beliefs]
+    starts = np.cumsum([0] + [len(f.lc_members) + 1 for f in factors])
+    count_margs = [count_marginals[a:b] for a, b in zip(starts[:-1], starts[1:])]
     best = None
     best_value = -math.inf
     for sigma in cfg.sigma_grid:
@@ -69,14 +76,16 @@ def reference_m_step_sigmas(cycle_beliefs, factors, cfg):
     return best
 
 
-def random_factors_and_beliefs(rng, n_factors):
-    factors, beliefs = [], []
+def random_factors_and_counts(rng, n_factors):
+    """Random factors and the count marginals of random distributions over
+    their configurations."""
+    factors, dists = [], []
     for i in range(n_factors):
         k = int(rng.integers(1, 5))
         members = tuple(range(10 * i, 10 * i + k))
         factors.append(CycleFactor(i, members, int(rng.integers(0, 5)), float(rng.uniform(0, 1.5))))
-        beliefs.append(CycleDistribution(rng.dirichlet(np.ones(1 << k))))
-    return tuple(factors), tuple(beliefs)
+        dists.append(rng.dirichlet(np.ones(1 << k)))
+    return tuple(factors), fold_by_count(dists)
 
 
 class TestConfig:
@@ -106,7 +115,7 @@ class TestEStep:
         p = uniform_params((0, 1), prior=0.6)
         result = e_step(fg, p, InferenceMethod.EXACT)
         expected = cycle_conditional(f, p)
-        assert result.cycle_beliefs[0].values == pytest.approx(expected.values, abs=1e-12)
+        assert result.count_marginals == pytest.approx(fold_by_count([expected]), abs=1e-12)
         for j, eid in enumerate(f.lc_members):
             assert result.edge_marginals[eid] == pytest.approx(
                 inlier_marginal(expected, j), abs=1e-12
@@ -176,9 +185,9 @@ class TestMStepPriors:
 class TestMStepSigmas:
     def test_single_grid_point(self):
         f = CycleFactor(0, (0, 1), 0, 0.1)
-        beliefs = (cycle_conditional(f, uniform_params((0, 1))),)
+        counts = fold_by_count([cycle_conditional(f, uniform_params((0, 1)))])
         cfg = EmConfig(sigma_grid=(0.02,), sigma_bar_grid=(0.25,))
-        assert m_step_sigmas(beliefs, (f,), cfg) == (0.02, 0.25)
+        assert m_step_sigmas(counts, (f,), cfg) == (0.02, 0.25)
 
     def test_sigma_tracks_small_consistent_errors(self):
         # 1-D sweep oracle: with responsibility frozen на all-inlier, the
@@ -186,14 +195,10 @@ class TestMStepSigmas:
         length = 4
         z = 0.08
         f = CycleFactor(0, (0, 1), length - 2, z)
-        all_inlier = np.zeros(4)
-        all_inlier[0] = 1.0
-        from loopsieve.model import CycleDistribution
-
-        beliefs = (CycleDistribution(all_inlier),)
+        all_inlier = np.array([1.0, 0.0, 0.0])
         grid = tuple(np.linspace(0.005, 0.12, 60))
         cfg = EmConfig(sigma_grid=grid, sigma_bar_grid=(0.5,))
-        sigma, _ = m_step_sigmas(beliefs, (f,), cfg)
+        sigma, _ = m_step_sigmas(all_inlier, (f,), cfg)
         # 1-D sweep oracle over the closed-form objective
         dense = [
             expected_cycle_term(f, all_inlier, ModelParams(s, 0.5), False)
@@ -205,16 +210,13 @@ class TestMStepSigmas:
         assert z / (2 * math.sqrt(3 * length)) <= sigma <= z / math.sqrt(length)
 
     def test_sigma_bar_tracks_outlier_errors(self):
-        from loopsieve.model import CycleDistribution
-
         one_outlier = np.array([0.0, 1.0])
-        beliefs_of = lambda z: (CycleDistribution(one_outlier),)
         bar_grid = tuple(np.linspace(0.1, 1.0, 80))
         estimates = []
         for z in (0.25, 0.45, 0.8):
             f = CycleFactor(0, (0,), 3, z)
             cfg = EmConfig(sigma_grid=(0.02,), sigma_bar_grid=bar_grid)
-            _, sigma_bar = m_step_sigmas(beliefs_of(z), (f,), cfg)
+            _, sigma_bar = m_step_sigmas(one_outlier, (f,), cfg)
             dense = [
                 expected_cycle_term(f, one_outlier, ModelParams(0.02, sb), False)
                 for sb in bar_grid
@@ -229,11 +231,9 @@ class TestMStepSigmas:
         # a constant objective (weight-free beliefs impossible; use identical
         # repeated grid values instead) keeps the first, smallest pair
         f = CycleFactor(0, (0,), 0, 0.1)
-        from loopsieve.model import CycleDistribution
-
-        beliefs = (CycleDistribution(np.array([0.5, 0.5])),)
+        counts = np.array([0.5, 0.5])
         cfg = EmConfig(sigma_grid=(0.02, 0.02), sigma_bar_grid=(0.3, 0.3))
-        assert m_step_sigmas(beliefs, (f,), cfg) == (0.02, 0.3)
+        assert m_step_sigmas(counts, (f,), cfg) == (0.02, 0.3)
 
     def test_count_marginal_equals_naive_mask_sum(self, rng):
         # the objective folded to outlier counts must equal the full 2^k sum
@@ -245,10 +245,10 @@ class TestMStepSigmas:
             belief = cycle_conditional(f, p)
             candidate = ModelParams(0.03, 0.25)
             folded = expected_cycle_term(
-                f, belief.outlier_count_marginals(), candidate, include_psi=False
+                f, fold_by_count([belief]), candidate, include_psi=False
             )
             naive = sum(
-                belief.values[mask]
+                belief[mask]
                 * log_cycle_likelihood(f, bin(mask).count("1"), candidate)
                 for mask in range(1 << k)
             )
@@ -258,9 +258,9 @@ class TestMStepSigmas:
     def test_matches_reference_on_random_beliefs(self, rng, include_psi):
         cfg = EmConfig(include_psi=include_psi)
         for n_factors in (1, 3, 12, 30):
-            factors, beliefs = random_factors_and_beliefs(rng, n_factors)
-            assert m_step_sigmas(beliefs, factors, cfg) == reference_m_step_sigmas(
-                beliefs, factors, cfg
+            factors, counts = random_factors_and_counts(rng, n_factors)
+            assert m_step_sigmas(counts, factors, cfg) == reference_m_step_sigmas(
+                counts, factors, cfg
             )
 
     @pytest.mark.parametrize("include_psi", [False, True])
@@ -270,9 +270,9 @@ class TestMStepSigmas:
         sigmas = tuple(float(np.float64(0.02)) for _ in range(3))
         bars = tuple(float(np.float64(0.3)) for _ in range(2))
         cfg = EmConfig(sigma_grid=sigmas, sigma_bar_grid=bars, include_psi=include_psi)
-        factors, beliefs = random_factors_and_beliefs(rng, 7)
-        got = m_step_sigmas(beliefs, factors, cfg)
-        expected = reference_m_step_sigmas(beliefs, factors, cfg)
+        factors, counts = random_factors_and_counts(rng, 7)
+        got = m_step_sigmas(counts, factors, cfg)
+        expected = reference_m_step_sigmas(counts, factors, cfg)
         assert got[0] is expected[0] is sigmas[0]
         assert got[1] is expected[1] is bars[0]
 
@@ -280,16 +280,14 @@ class TestMStepSigmas:
     def test_no_factors_gives_first_pair(self, include_psi):
         cfg = EmConfig(include_psi=include_psi)
         expected = (cfg.sigma_grid[0], cfg.sigma_bar_grid[0])
-        assert m_step_sigmas((), (), cfg) == expected
-        assert reference_m_step_sigmas((), (), cfg) == expected
+        assert m_step_sigmas(np.zeros(0), (), cfg) == expected
+        assert reference_m_step_sigmas(np.zeros(0), (), cfg) == expected
 
     def test_respects_sigma_bar_gt_sigma(self):
         f = CycleFactor(0, (0,), 0, 0.1)
-        from loopsieve.model import CycleDistribution
-
-        beliefs = (CycleDistribution(np.array([0.5, 0.5])),)
+        counts = np.array([0.5, 0.5])
         cfg = EmConfig(sigma_grid=(0.01, 0.3), sigma_bar_grid=(0.2,))
-        sigma, sigma_bar = m_step_sigmas(beliefs, (f,), cfg)
+        sigma, sigma_bar = m_step_sigmas(counts, (f,), cfg)
         assert sigma_bar > sigma
 
 
@@ -429,7 +427,7 @@ class TestRunEm:
         params, trace, final = run_em(fg, init, cfg)
         assert (params.sigma, params.sigma_bar) == (math.radians(0.5), math.radians(5.0))
         assert len(trace.rounds) >= 1
-        assert final.cycle_beliefs == ()
+        assert final.count_marginals.shape == (0,)
 
     def test_psi_value_is_finite(self):
         f = CycleFactor(0, (0, 1, 2), 2, 0.4)

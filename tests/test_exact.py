@@ -1,9 +1,13 @@
 import math
 import tracemalloc
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mean_count_gaps
+from loopsieve import infer_admm
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.factorgraph import (
     FactorGraph,
@@ -11,18 +15,22 @@ from loopsieve.factorgraph import (
     build_factor_graph,
     exact_marginals,
 )
+from loopsieve.infer_bp import DEFAULT_DAMPING, run_bp
 from loopsieve.model import CycleFactor, ModelParams
 from loopsieve.synth import generate, suite_specs
-from reference import reference_exact_marginals
+from reference import fold_by_count, reference_bp, reference_exact_marginals
 
 
 def pinned(result):
-    """Every output of exact enumeration, at full precision."""
-    return (
-        result.edge_marginals,
-        float.hex(result.log_evidence),
-        [None if b is None else b.values.tobytes() for b in result.cycle_beliefs],
-    )
+    """The outputs of exact enumeration that the reference reproduces bit
+    for bit: the count marginals add their bins in another order."""
+    return result.edge_marginals, float.hex(result.log_evidence)
+
+
+def assert_matches_reference(result, reference):
+    assert pinned(result) == pinned(reference)
+    assert result.count_marginals.shape == reference.count_marginals.shape
+    assert np.abs(result.count_marginals - reference.count_marginals).max(initial=0.0) <= 1e-12
 
 
 @st.composite
@@ -68,11 +76,59 @@ class TestMatchesFullLengthEnumeration:
     @given(factor_graphs())
     def test_random_factor_graphs(self, case):
         fg, params = case
-        assert pinned(exact_marginals(fg, params)) == pinned(reference_exact_marginals(fg, params))
+        assert_matches_reference(exact_marginals(fg, params), reference_exact_marginals(fg, params))
 
     def test_twenty_variable_block(self):
         fg, params = desk_suite_block()
-        assert pinned(exact_marginals(fg, params)) == pinned(reference_exact_marginals(fg, params))
+        assert_matches_reference(exact_marginals(fg, params), reference_exact_marginals(fg, params))
+
+
+def admm_and_final_v(fg, params):
+    """run_admm's result and the distributions v_c it ends with, one 2^k
+    array per factor in factor order, normalized as the fold takes them."""
+    solve = infer_admm._solve_batch
+    solved = []
+
+    def recording(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(infer_admm, "_solve_batch", recording)
+        result = infer_admm.run_admm(fg, params)
+    groups = fg.cycle_groups
+    v: list = [None] * len(fg.factors)
+    for group, block in zip(groups, solved[len(solved) - len(groups) :]):
+        for f_idx, row in zip(group.factors, block):
+            v[f_idx] = np.maximum(row, 0.0) / row.sum()
+    return result, v
+
+
+class TestCountMarginals:
+    """Each back-end's count marginals against the reference's 2^k
+    configuration distributions folded by outlier count."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor_graphs())
+    def test_bp_matches_reference_fold(self, case):
+        fg, params = case
+        _, expected, _, _ = reference_bp(fg, params, DEFAULT_DAMPING)
+        counts = run_bp(fg, params).count_marginals
+        assert counts.shape == expected.shape
+        assert np.abs(counts - expected).max(initial=0.0) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(factor_graphs())
+    def test_admm_equals_fold_of_its_distributions(self, case):
+        fg, params = case
+        result, v = admm_and_final_v(fg, params)
+        assert result.count_marginals.tolist() == fold_by_count(v).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(factor_graphs())
+    def test_exact_mean_count_matches_member_marginals(self, case):
+        fg, params = case
+        assert mean_count_gaps(fg, exact_marginals(fg, params)).max(initial=0.0) <= 1e-12
 
 
 def test_twenty_variable_block_peak_memory():

@@ -7,7 +7,7 @@ refactor that is meant to keep outputs must reproduce them.
 
 It also pins the back-ends at full precision, on the EM graph and on a
 smaller graph that exact enumeration takes whole: each back-end's edge
-marginals as `float.hex`, a SHA-256 of its cycle-belief bytes, exact's
+marginals as `float.hex`, a SHA-256 of its count-marginal bytes, exact's
 log evidence, and the BP- and exact-E-step EM traces (sigma, sigma_bar,
 q and the data log-likelihood as `float.hex`). These are compared with
 `==`.
@@ -71,9 +71,7 @@ def em_rounds() -> list[list[float]]:
 def pinned(result) -> dict:
     out = {
         "edge_marginals": {str(eid): float.hex(p) for eid, p in result.edge_marginals.items()},
-        "cycle_beliefs_sha256": hashlib.sha256(
-            b"".join(b.values.tobytes() for b in result.cycle_beliefs)
-        ).hexdigest(),
+        "count_marginals_sha256": hashlib.sha256(result.count_marginals.tobytes()).hexdigest(),
         "converged": result.converged,
         "iterations": result.iterations,
     }
