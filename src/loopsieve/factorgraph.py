@@ -23,8 +23,6 @@ import numpy as np
 from .cycles import CycleBasis
 from .graph import PoseGraph, loop_closure_edges
 from .model import (
-    DEFAULT_LC_CAP,
-    CycleCapError,
     CycleFactor,
     ModelParams,
     factors_from_basis,
@@ -157,16 +155,11 @@ class InferenceResult:
 
 
 def build_factor_graph(g: PoseGraph, basis: CycleBasis) -> FactorGraph:
-    """Assemble the factor graph; rejects cycles over DEFAULT_LC_CAP members."""
+    """Assemble the factor graph; all-ego cycles carry no free variables
+    and are left out."""
     variables = tuple(e.id for e in loop_closure_edges(g))
-    factors = []
-    for factor in factors_from_basis(g, basis):
-        if not factor.lc_members:
-            continue  # all-ego cycles carry no free variables
-        if len(factor.lc_members) > DEFAULT_LC_CAP:
-            raise CycleCapError(factor.cycle_id, len(factor.lc_members))
-        factors.append(factor)
-    return FactorGraph(variables, tuple(factors))
+    factors = tuple(f for f in factors_from_basis(g, basis) if f.lc_members)
+    return FactorGraph(variables, factors)
 
 
 def _connected_components(fg: FactorGraph) -> list[tuple[list[int], list[int]]]:

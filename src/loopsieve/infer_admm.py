@@ -15,6 +15,16 @@ solved by accelerated projected gradient with an exact sort-based simplex
 projection; cycles of equal member count are solved in one vectorized
 batch.
 
+The consensus state is one flat float64 array per quantity over the
+(factor, member) incidences: the marginals P_c v_c, the duals y and each
+member's position in w. The arrays run in group order: groups in
+FactorGraph.cycle_groups order, each group's incidence rows raveled, so a
+group's batch is a contiguous slice reshaped to (cycles, k). Group order,
+not incidence-row order, is kept because np.bincount adds each edge's
+terms in array order, and incidence-row order moves w in the last bits.
+Only cycles with k <= DEFAULT_LC_CAP members are solved, since each v_c
+has 2^k entries; run_admm raises CycleCapError before building any table.
+
 The penalty rho follows the residual-balancing rule of Boyd et al.,
 "Distributed Optimization and Statistical Learning via ADMM" (2011,
 section 3.4.1) for the first RHO_FREEZE_AFTER iterations: it doubles when
@@ -30,7 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult
-from .model import ModelParams, _popcounts, cycle_conditionals
+from .model import (
+    DEFAULT_LC_CAP,
+    CycleCapError,
+    ModelParams,
+    _popcounts,
+    cycle_conditionals,
+)
 
 
 # Residual balancing (see update_rho): rho is multiplied or divided by
@@ -156,64 +172,34 @@ def _solve_batch(
     return x
 
 
-def _in_group_order(blocks: list[np.ndarray], dtype=float) -> np.ndarray:
-    """The blocks' entries concatenated: blocks in order, each in row order."""
-    return np.concatenate([np.zeros(0, dtype)] + [np.ravel(b) for b in blocks])
-
-
-def update_w(
-    marginals: list[np.ndarray],
-    duals: list[np.ndarray],
-    members_pos: list[np.ndarray],
-    rho: float,
+def consensus_step(
+    marginals: np.ndarray,
+    y: np.ndarray,
+    pos: np.ndarray,
+    degree: np.ndarray,
+    slices: list[slice],
     w_prev: np.ndarray,
-) -> np.ndarray:
-    """Average the per-cycle marginals (plus scaled duals) and clamp to [0, 1].
+    rho: float,
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The w-update, the dual step and both residuals on flat incidence arrays.
 
-    Each list entry holds one cycle, or a 2-D block of cycles one per row,
-    here and in :func:`update_duals` and :func:`residuals`. Edges in no
-    cycle keep their previous value. Each edge's terms are summed in block
-    order, rows in order.
+    marginals (P_c v_c), y and pos (each member's position in w) hold one
+    entry per incidence; degree is np.bincount(pos) over w, and slices[g]
+    holds group g's incidences. w averages marginals + y / rho over each
+    edge's incidences, in array order, and is clamped to [0, 1]; edges in no
+    cycle keep w_prev. Then y += rho (P_c v_c - w_c) with the fresh w.
+    Primal residual: the sum of squared consensus gaps, summed per group and
+    the group sums added in order. Dual: rho^2 times the squared w change,
+    counted once per incidence. Returns (w, y, primal, dual).
     """
-    pos = _in_group_order(members_pos, np.intp)
-    terms = _in_group_order([marg + y / rho for marg, y in zip(marginals, duals)])
-    numerator = np.bincount(pos, weights=terms, minlength=w_prev.shape[0])
-    counts = np.bincount(pos, minlength=w_prev.shape[0])
+    numerator = np.bincount(pos, weights=marginals + y / rho, minlength=w_prev.shape[0])
     w = w_prev.copy()
-    covered = counts > 0
-    w[covered] = np.clip(numerator[covered] / counts[covered], 0.0, 1.0)
-    return w
-
-
-def update_duals(
-    duals: list[np.ndarray],
-    marginals: list[np.ndarray],
-    members_pos: list[np.ndarray],
-    w: np.ndarray,
-    rho: float,
-) -> list[np.ndarray]:
-    """Dual ascent: y_c += rho (P_c v_c - w_c), with the fresh w."""
-    return [
-        y + rho * (marg - w[pos])
-        for y, marg, pos in zip(duals, marginals, members_pos)
-    ]
-
-
-def residuals(
-    marginals: list[np.ndarray],
-    members_pos: list[np.ndarray],
-    w: np.ndarray,
-    w_prev: np.ndarray,
-    rho: float,
-) -> tuple[float, float]:
-    """Primal: sum of squared consensus gaps. Dual: rho^2 times the squared
-    w change, counted once per (edge, cycle) incidence."""
-    primal = 0.0
-    for marg, pos in zip(marginals, members_pos):
-        primal += float(np.sum((marg - w[pos]) ** 2))
-    counts = np.bincount(_in_group_order(members_pos, np.intp), minlength=w.shape[0])
-    dual = float(rho**2 * np.sum(counts * (w - w_prev) ** 2))
-    return primal, dual
+    covered = degree > 0
+    w[covered] = np.clip(numerator[covered] / degree[covered], 0.0, 1.0)
+    gap = marginals - w[pos]
+    primal = sum((float(np.sum(gap[part] ** 2)) for part in slices), 0.0)
+    dual = float(rho**2 * np.sum(degree * (w - w_prev) ** 2))
+    return w, y + rho * gap, primal, dual
 
 
 def update_rho(rho: float, r: float, t: float) -> float:
@@ -247,27 +233,38 @@ def run_admm(
     variables = fg.variables
     n_edges = len(variables)
 
-    # Cycles of equal member count k form one group; every per-cycle array
-    # below is a list with one 2-D block per group, rows in factor order.
+    # Cycles of equal member count k form one group, solved as one 2-D
+    # block of v, rows in factor order. The per-incidence arrays run in
+    # group order (see the module docstring): group g owns slices[g].
     groups = fg.cycle_groups
+    for group in groups:  # refuse before any 2^k table is built
+        if group.k > DEFAULT_LC_CAP:
+            raise CycleCapError(fg.factors[group.factors[0]].cycle_id, group.k)
     p_matrices = [marginalization_matrix(group.k) for group in groups]
     lam_max = [float(np.linalg.eigvalsh(p @ p.T).max()) for p in p_matrices]
     v_hat = [
         cycle_conditionals([fg.factors[i] for i in group.factors], params)
         for group in groups
     ]
-    members_pos = [fg.incidence_var[group.rows] for group in groups]
-    v = v_hat
-    duals = [np.zeros(pos.shape) for pos in members_pos]
+    span = np.cumsum([0] + [group.rows.size for group in groups])
+    slices = [slice(a, b) for a, b in zip(span[:-1], span[1:])]
+    pos = fg.incidence_var[
+        np.concatenate([np.zeros(0, np.intp)] + [group.rows.ravel() for group in groups])
+    ]
+    degree = np.bincount(pos, minlength=n_edges)
+    n_rows = len(pos)
+    marginals = np.empty(n_rows)
+    y = np.zeros(n_rows)
+    v = list(v_hat)
     rho = opts.rho0
 
     # Warm start w at the average of the incident data-only marginals,
     # and uncovered edges at their prior.
+    for part, block, p in zip(slices, v, p_matrices):
+        marginals[part] = (block @ p.T).ravel()
     w = np.array([params.prior(eid) for eid in variables])
-    marginals = [hats @ p.T for hats, p in zip(v_hat, p_matrices)]
-    w = update_w(marginals, duals, members_pos, rho, w)
+    w = consensus_step(marginals, y, pos, degree, slices, w, rho)[0]
 
-    n_rows = len(fg.incidence_var)
     eps = opts.tol * (np.sqrt(max(n_rows, 1)) if opts.scale_tol else 1.0)
 
     converged = False
@@ -276,20 +273,14 @@ def run_admm(
     dual = float("nan")
     trace: list[AdmmIterationStats] = []
     for iterations in range(1, opts.max_iters + 1):
-        v = [
-            _solve_batch(
-                v[g], v_hat[g], duals[g], w[members_pos[g]], rho,
-                p_matrices[g], lam_max[g], SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERS,
+        for g, (part, group, p) in enumerate(zip(slices, groups, p_matrices)):
+            v[g] = _solve_batch(
+                v[g], v_hat[g], y[part].reshape(-1, group.k), w[pos[part]].reshape(-1, group.k),
+                rho, p, lam_max[g], SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERS,
             )
-            for g in range(len(groups))
-        ]
-        marginals = [block @ p.T for block, p in zip(v, p_matrices)]
+            marginals[part] = (v[g] @ p.T).ravel()
 
-        w_prev = w
-        w = update_w(marginals, duals, members_pos, rho, w_prev)
-        duals = update_duals(duals, marginals, members_pos, w, rho)
-
-        primal, dual = residuals(marginals, members_pos, w, w_prev, rho)
+        w, y, primal, dual = consensus_step(marginals, y, pos, degree, slices, w, rho)
         if opts.record_trace:
             trace.append(
                 AdmmIterationStats(
@@ -311,8 +302,7 @@ def run_admm(
             continue
         new_rho = update_rho(rho, dual, primal)
         if new_rho != rho:
-            scale = new_rho / rho
-            duals = [y * scale for y in duals]
+            y = y * (new_rho / rho)
             rho = new_rho
 
     marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}

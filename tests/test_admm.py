@@ -1,21 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import mean_count_gaps, three_cycle_factor_graph, uniform_params
+from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
 from loopsieve.infer_admm import (
     AdmmOptions,
+    consensus_step,
     marginalization_matrix,
-    residuals,
     run_admm,
-    update_duals,
     update_rho,
-    update_w,
 )
-from loopsieve.model import CycleFactor, ModelParams
+from loopsieve.model import DEFAULT_LC_CAP, CycleCapError, CycleFactor, ModelParams
 from loopsieve.synth import SynthSpec, generate
 from reference import (
     cycle_conditional,
@@ -153,47 +152,66 @@ class TestSubproblem:
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def step(marginals, duals, members_pos, rho, w_prev):
+    """consensus_step on per-cycle lists, each cycle a group of its own."""
+    pos = np.concatenate(members_pos)
+    span = np.cumsum([0] + [len(p) for p in members_pos])
+    slices = [slice(a, b) for a, b in zip(span[:-1], span[1:])]
+    w_prev = np.asarray(w_prev, dtype=float)
+    return consensus_step(
+        np.concatenate(marginals), np.concatenate(duals), pos,
+        np.bincount(pos, minlength=len(w_prev)), slices, w_prev, rho,
+    )
+
+
 class TestUpdateW:
     def test_single_cycle_clamped_marginal(self):
-        w = update_w([np.array([0.4])], [np.zeros(1)], [np.array([0])], 1.0, np.array([0.9]))
+        w, *_ = step([np.array([0.4])], [np.zeros(1)], [np.array([0])], 1.0, [0.9])
         assert w == pytest.approx([0.4])
 
     def test_two_cycles_average(self):
-        w = update_w(
+        w, *_ = step(
             [np.array([0.4]), np.array([0.6])],
             [np.zeros(1), np.zeros(1)],
             [np.array([0]), np.array([0])],
             1.0,
-            np.array([0.0]),
+            [0.0],
         )
         assert w == pytest.approx([0.5])
 
     def test_clamp_above_one(self):
-        w = update_w(
-            [np.array([0.9])], [np.array([0.6])], [np.array([0])], 2.0, np.array([0.0])
-        )
+        w, *_ = step([np.array([0.9])], [np.array([0.6])], [np.array([0])], 2.0, [0.0])
         # 0.9 + 0.6/2 = 1.2 -> clamped to 1
         assert w == pytest.approx([1.0])
 
     def test_uncovered_edge_keeps_previous(self):
-        w = update_w(
-            [np.array([0.4])], [np.zeros(1)], [np.array([0])], 1.0, np.array([0.9, 0.77])
-        )
+        w, *_ = step([np.array([0.4])], [np.zeros(1)], [np.array([0])], 1.0, [0.9, 0.77])
         assert w[1] == 0.77
 
 
 class TestUpdateDuals:
     def test_consensus_met_unchanged(self):
-        ys = update_duals(
-            [np.array([0.3])], [np.array([0.5])], [np.array([0])], np.array([0.5]), 2.0
+        # duals of opposite sign on one edge: w = 0.5 meets both marginals
+        w, ys, *_ = step(
+            [np.array([0.5]), np.array([0.5])],
+            [np.array([0.3]), np.array([-0.3])],
+            [np.array([0]), np.array([0])],
+            2.0,
+            [0.0],
         )
-        assert ys[0] == pytest.approx([0.3])
+        assert w == pytest.approx([0.5])
+        assert ys == pytest.approx([0.3, -0.3])
 
     def test_increment(self):
-        ys = update_duals(
-            [np.array([0.0])], [np.array([0.7])], [np.array([0])], np.array([0.5]), 2.0
+        # y_c += rho (P_c v_c - w) with the fresh w = 0.5
+        _, ys, *_ = step(
+            [np.array([0.7]), np.array([0.3])],
+            [np.zeros(1), np.zeros(1)],
+            [np.array([0]), np.array([0])],
+            2.0,
+            [0.0],
         )
-        assert ys[0] == pytest.approx([0.4])
+        assert ys == pytest.approx([0.4, -0.4])
 
     def test_bounded_over_long_runs(self, rng):
         # empirical boundedness on a random consensus instance
@@ -208,29 +226,62 @@ class TestUpdateDuals:
 
 class TestResiduals:
     def test_fixed_point_is_zero(self):
-        margs = [np.array([0.25, 0.75])]
-        pos = [np.array([0, 1])]
-        w = np.array([0.25, 0.75])
-        r, t = residuals(margs, pos, w, w, 3.0)
+        _, _, r, t = step([np.array([0.25, 0.75])], [np.zeros(2)], [np.array([0, 1])], 3.0, [0.25, 0.75])
         assert r == 0.0 and t == 0.0
 
     def test_cold_start_positive(self):
-        margs = [np.array([0.3, 0.6])]
-        pos = [np.array([0, 1])]
-        r, t = residuals(margs, pos, np.array([0.5, 0.5]), np.array([0.4, 0.4]), 1.0)
+        # two cycles on edges 0 and 1 that disagree, w moving from 0.9
+        _, _, r, t = step(
+            [np.array([0.3, 0.6]), np.array([0.5, 0.2])],
+            [np.zeros(2), np.zeros(2)],
+            [np.array([0, 1]), np.array([0, 1])],
+            1.0,
+            [0.9, 0.9],
+        )
         assert r > 0 and t > 0
 
     def test_per_edge_regrouping_identity(self, rng):
-        # r computed per cycle equals r regrouped per (edge, cycle) incidence
+        # r and t computed per group equal their sums over (edge, cycle)
+        # incidences
         margs = [rng.uniform(0, 1, 2), rng.uniform(0, 1, 3)]
+        duals = [rng.normal(0, 0.1, 2), rng.normal(0, 0.1, 3)]
         pos = [np.array([0, 1]), np.array([1, 2, 3])]
-        w = rng.uniform(0, 1, 4)
-        r, _ = residuals(margs, pos, w, w, 1.0)
-        flat = 0.0
+        w_prev = rng.uniform(0, 1, 5)
+        w, _, r, t = step(margs, duals, pos, 1.5, w_prev)
+        flat_r = flat_t = 0.0
         for marg, p_row in zip(margs, pos):
             for value, edge in zip(marg, p_row):
-                flat += (value - w[edge]) ** 2
-        assert r == pytest.approx(flat, abs=1e-12)
+                flat_r += (value - w[edge]) ** 2
+                flat_t += 1.5**2 * (w[edge] - w_prev[edge]) ** 2
+        assert r == pytest.approx(flat_r, abs=1e-12)
+        assert t == pytest.approx(flat_t, abs=1e-12)
+        assert w[4] == w_prev[4]
+
+
+class TestLimits:
+    def test_cycle_one_over_the_cap_is_refused(self):
+        at_cap = loop_closure_ring(DEFAULT_LC_CAP)
+        fg = build_factor_graph(at_cap, minimum_cycle_basis(at_cap))
+        assert [len(f.lc_members) for f in fg.factors] == [DEFAULT_LC_CAP]
+        over = loop_closure_ring(DEFAULT_LC_CAP + 1)
+        fg = build_factor_graph(over, minimum_cycle_basis(over))
+        p = ModelParams.from_graph(over, math.radians(2.0), math.radians(20.0))
+        with pytest.raises(CycleCapError, match="cycle 0 has 17 loop-closure members"):
+            run_admm(fg, p)
+
+    def test_refused_before_any_table_is_built(self):
+        # v_c and P_c of a 30-member cycle would take 8 GiB each
+        ring = loop_closure_ring(30)
+        fg = build_factor_graph(ring, minimum_cycle_basis(ring))
+        p = ModelParams.from_graph(ring, math.radians(2.0), math.radians(20.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CycleCapError, match="cycle 0 has 30 loop-closure members"):
+                run_admm(fg, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestUpdateRho:
@@ -295,7 +346,7 @@ class TestRunAdmm:
     def test_groups_on_golden_em_graph(self):
         # The golden EM fit (tests/test_golden.py) runs run_admm on this
         # graph; its cycle blocks must be the first-appearance grouping by k
-        # with rows in factor order, which fixes np.add.at's summation order.
+        # with rows in factor order, which fixes np.bincount's summation order.
         g = generate(SynthSpec(m_lc=30, num_outliers=6, nodes_per_map=8, seed=5))
         fg = build_factor_graph(g, minimum_cycle_basis(g))
         expected: dict[int, list[int]] = {}

@@ -184,10 +184,10 @@ class TestRunBenchmark:
 
     def test_failures_recorded_and_run_continues(self):
         good = self.make_items(2)
-        # a graph one over the cycle cap: one cycle of 17 loop closures
+        # a graph one over ADMM's cycle cap: one cycle of 17 loop closures
         bad = loop_closure_ring(DEFAULT_LC_CAP + 1)
         items = good[:1] + [("bad", bad)] + good[1:]
-        rows, failures = run_benchmark(items, [InferenceMethod.BP])
+        rows, failures = run_benchmark(items, [InferenceMethod.ADMM])
         assert len(rows) == 2
         assert len(failures) == 1
         assert failures[0].graph_id == "bad"

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
+from loopsieve.bench import DEFAULT_SIGMA, DEFAULT_SIGMA_BAR, classify
 from loopsieve.factorgraph import (
     EXACT_ENUMERATION_LIMIT,
     FactorGraph,
+    InferenceMethod,
     build_factor_graph,
     exact_marginals,
 )
 from loopsieve.infer_bp import DEFAULT_DAMPING, MESSAGE_FLOOR, run_bp
-from loopsieve.model import DEFAULT_LC_CAP, CycleCapError, CycleFactor, ModelParams
+from loopsieve.model import DEFAULT_LC_CAP, CycleFactor, ModelParams
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.synth import SynthSpec, generate
 from reference import (
@@ -101,13 +103,20 @@ class TestIncidence:
 
 
 class TestLimits:
-    def test_cycle_one_over_the_cap_is_refused(self):
-        at_cap = loop_closure_ring(DEFAULT_LC_CAP)
-        fg = build_factor_graph(at_cap, minimum_cycle_basis(at_cap))
-        assert [len(f.lc_members) for f in fg.factors] == [DEFAULT_LC_CAP]
-        over = loop_closure_ring(DEFAULT_LC_CAP + 1)
-        with pytest.raises(CycleCapError, match="cycle 0 has 17 loop-closure members"):
-            build_factor_graph(over, minimum_cycle_basis(over))
+    def test_rings_over_the_admm_cap_are_classified(self):
+        # BP's count convolution builds no 2^k table, so one basis cycle of
+        # 17 or 30 loop closures is screened like any other
+        for n in (DEFAULT_LC_CAP + 1, 30):
+            result = classify(loop_closure_ring(n), method=InferenceMethod.BP)
+            assert result.converged
+            assert len(result.edges) == n and all(e.covered for e in result.edges)
+            assert result.tn == n  # z = 0: every member is called an inlier
+        ring = loop_closure_ring(DEFAULT_LC_CAP + 1)
+        fg = build_factor_graph(ring, minimum_cycle_basis(ring))
+        p = ModelParams.from_graph(ring, DEFAULT_SIGMA, DEFAULT_SIGMA_BAR)
+        bp, exact = run_bp(fg, p), exact_marginals(fg, p)
+        for eid in fg.variables:
+            assert bp.edge_marginals[eid] == pytest.approx(exact.edge_marginals[eid], abs=1e-6)
 
     def test_exact_block_over_the_limit_is_refused(self):
         # cycles of 16 and 8 loop closures that share edge 15: one

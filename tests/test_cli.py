@@ -86,7 +86,7 @@ def test_classify_tsv(tmp_path):
 def test_classify_cycle_over_cap_fails_with_one_line(tmp_path):
     graph_file = tmp_path / "ring.pgraph"
     graph_file.write_text(graph_to_text(loop_closure_ring(DEFAULT_LC_CAP + 1)))
-    result = CliRunner().invoke(main, ["classify", str(graph_file), "--method", "bp"])
+    result = CliRunner().invoke(main, ["classify", str(graph_file), "--method", "admm"])
     assert result.exit_code == 1
     assert result.output.splitlines() == [
         f"Error: cycle 0 has {DEFAULT_LC_CAP + 1} loop-closure members, over the cap "
