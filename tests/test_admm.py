@@ -226,7 +226,9 @@ class TestUpdateDuals:
 
 class TestResiduals:
     def test_fixed_point_is_zero(self):
-        _, _, r, t = step([np.array([0.25, 0.75])], [np.zeros(2)], [np.array([0, 1])], 3.0, [0.25, 0.75])
+        _, _, r, t = step(
+            [np.array([0.25, 0.75])], [np.zeros(2)], [np.array([0, 1])], 3.0, [0.25, 0.75]
+        )
         assert r == 0.0 and t == 0.0
 
     def test_cold_start_positive(self):
