@@ -1,15 +1,17 @@
 """Outputs pinned across commits.
 
 `golden_outputs.json` holds the timing-free bench CSV of a small fixed
-suite (bp, admm and exact), as the code produced it when the file was
-recorded. A refactor that is meant to keep outputs must reproduce it.
+suite (bp, admm and exact) and the per-round trace of one EM fit with the
+ADMM E-step, as the code produced them when the file was recorded. A
+refactor that is meant to keep outputs must reproduce them.
 
 It also pins the back-ends at full precision, on the EM graph and on a
 smaller graph that exact enumeration takes whole: each back-end's edge
 marginals as `float.hex`, a SHA-256 of its count-marginal bytes, exact's
 log evidence, and the BP-, ADMM- and exact-E-step EM traces (sigma,
-sigma_bar, q and the data log-likelihood as `float.hex`). All of these
-are compared with `==`.
+sigma_bar, q and the data log-likelihood as `float.hex`). These are
+compared with `==`; the ADMM-E-step round trace above allows q to move in
+its last digits.
 
 Record the file (only when an output change is intended and explained):
 
@@ -58,6 +60,13 @@ def em_graph(m_lc: int = 30, num_outliers: int = 6):
 
 def exact_graph():
     return em_graph(m_lc=18, num_outliers=4)
+
+
+def em_rounds() -> list[list[float]]:
+    fg, init = em_graph()
+    cfg = EmConfig(max_rounds=10, inference=InferenceMethod.ADMM)
+    _, trace, _ = run_em(fg, init, cfg)
+    return [[r.sigma, r.sigma_bar, r.q_value] for r in trace.rounds]
 
 
 def pinned(result) -> dict:
@@ -116,6 +125,7 @@ def em_traces() -> dict:
 def golden_outputs() -> dict:
     return {
         "suite_csv": suite_csv(),
+        "em_rounds": em_rounds(),
         "backends": backend_outputs(),
         "em_traces": em_traces(),
     }
@@ -128,6 +138,16 @@ def golden():
 
 def test_suite_csv_matches_golden(golden):
     assert suite_csv() == golden["suite_csv"]
+
+
+def test_em_rounds_match_golden(golden):
+    rounds = em_rounds()
+    assert len(rounds) == len(golden["em_rounds"])
+    for (sigma, sigma_bar, q), (g_sigma, g_sigma_bar, g_q) in zip(rounds, golden["em_rounds"]):
+        assert sigma == g_sigma and sigma_bar == g_sigma_bar
+        # ADMM's consensus sums may add in another order; q may move only
+        # in its last digits.
+        assert q == pytest.approx(g_q, rel=1e-12, abs=1e-12)
 
 
 def test_backends_match_golden_bitwise(golden):
