@@ -87,7 +87,7 @@ def mcb(graph_file: str) -> None:
 @click.option("--max-iters", type=int, default=None, help="Iteration cap for the back-end.")
 @click.option("--tol", type=float, default=None, help="Convergence tolerance.")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
-              help="Write a per-iteration r,t,rho CSV (admm only).")
+              help="Write a per-iteration r,t,rho,steps CSV (admm only).")
 @_friendly_errors
 def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> None:
     """Run inference and print per-edge inlier probabilities as TSV."""
@@ -116,11 +116,11 @@ def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> N
 
         result = run_admm(fg, params, admm_opts)
         if trace_path is not None:
-            lines = ["iter,r,t,rho"]
+            lines = ["iter,r,t,rho,steps"]
             for row in result.trace:
                 lines.append(
                     f"{row.iteration},{row.primal_residual:.9g},"
-                    f"{row.dual_residual:.9g},{row.rho:.9g}"
+                    f"{row.dual_residual:.9g},{row.rho:.9g},{row.subproblem_steps}"
                 )
             Path(trace_path).write_text("\n".join(lines) + "\n")
     else:

@@ -10,10 +10,11 @@ global consensus value w_e in [0, 1]:
                every v_c on the probability simplex,
 
 where row e of P_c indicates the configurations in which edge e is an
-inlier. The cycle subproblems are strongly convex QPs over the simplex,
-solved by accelerated projected gradient with an exact sort-based simplex
-projection; cycles of equal member count are solved in one vectorized
-batch.
+inlier. The cycle subproblems are strongly convex QPs over the simplex.
+Each is solved on its k-dimensional dual by damped semismooth Newton, with
+an exact sort-based simplex projection mapping the dual back to v (see
+_solve_batch); cycles of equal member count are solved in one vectorized
+batch, and each call starts from the previous iteration's v.
 
 The consensus state is one flat float64 array per quantity over the
 (factor, member) incidences: the marginals P_c v_c, the duals y and each
@@ -59,8 +60,14 @@ RHO_MAX = 1e4
 # Adapting rho forever can limit-cycle near the solution; after this many
 # iterations the penalty stays fixed, restoring plain (convergent) ADMM.
 RHO_FREEZE_AFTER = 100
-SUBPROBLEM_TOL = 1e-8
-SUBPROBLEM_MAX_ITERS = 10000
+# The cycle subproblems' Newton solver (see _solve_batch) raises when rows
+# are still unsolved after NEWTON_MAX_STEPS steps; its line search accepts a
+# step that gains ARMIJO_FRACTION of the ascent the Newton model predicts.
+# Warm-started from the previous iteration, a batch takes 1-5 steps; cold
+# starts at rho = 1e4 can take over a hundred at k = 5.
+NEWTON_MAX_STEPS = 500
+ARMIJO_FRACTION = 1e-4
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,7 @@ class AdmmIterationStats:
     min_v: float
     w_min: float
     w_max: float
+    subproblem_steps: int  # Newton steps of _solve_batch, summed over groups
 
 
 @dataclass(frozen=True)
@@ -123,15 +131,15 @@ def _project_rows(matrix: np.ndarray) -> np.ndarray:
     return np.maximum(matrix - threshold[:, None], 0.0)
 
 
-def _gradient(
-    v: np.ndarray,
-    v_hat: np.ndarray,
-    y_p: np.ndarray,
-    w_rows: np.ndarray,
-    rho: float,
-    p_matrix: np.ndarray,
-) -> np.ndarray:
-    return 2.0 * (v - v_hat) + y_p + rho * ((v @ p_matrix.T) - w_rows) @ p_matrix
+def _dual(v, a, nu, residual, rho):
+    """Per row, the concave dual g(nu) of the cycle QP up to a constant, and
+    the sum of its terms' magnitudes, which scales the rounding error of g."""
+    half_nu = 0.5 * nu
+    g = (v * (v - 2.0 * a)).sum(axis=1) + rho * (nu * (residual + half_nu)).sum(axis=1)
+    size = (v * (v + 2.0 * np.abs(a))).sum(axis=1) + rho * (
+        np.abs(nu) * (np.abs(residual) + np.abs(half_nu))
+    ).sum(axis=1)
+    return g, size
 
 
 def _solve_batch(
@@ -141,35 +149,80 @@ def _solve_batch(
     w_rows: np.ndarray,
     rho: float,
     p_matrix: np.ndarray,
-    lam_max: float,
-    tol: float,
-    max_iters: int,
-) -> np.ndarray:
-    """Accelerated projected gradient on a batch of simplex QPs.
+) -> tuple[np.ndarray, int]:
+    """Damped semismooth Newton on the k-dimensional dual of a batch of
+    simplex QPs, one row per cycle.
 
-    The objective is 2-strongly convex with curvature at most
-    2 + rho * lam_max(P P^T), so a constant-momentum scheme converges
-    linearly. Stops on the projected-gradient residual.
+    Row c minimizes ||v - v_hat||^2 + y^T P v + (rho/2)||P v - w||^2 over
+    the simplex. With a = v_hat - P^T y / 2 and nu = lambda / rho for the
+    multiplier lambda of P v = mu, the minimizer over v is
+    v(nu) = proj(a - (rho/2) P^T nu), and the QP's optimum is the root of
+    F(nu) = P v(nu) - w - nu, the gradient of the concave dual g(nu) over
+    rho. On the support s of v the projection has the Jacobian
+    D = diag(s) - s s^T / |s|, so -(I + (rho/2) P D P^T) is a generalized
+    Jacobian of F, and a step solves one k x k system per row (Qi & Sun,
+    Math. Programming 1993; Li, Sun & Toh, SIAM J. Optim. 2018). nu starts
+    at P v0 - w, the root when v0 is already the optimum.
+
+    g is quadratic, and F affine, while the support stays fixed. So a full
+    step that keeps the support lands on the root: the row is solved. A
+    step that changes the support is damped by per-row Armijo backtracking
+    on g, since undamped the iterates can jump between two supports
+    forever. A row also leaves the work set once max |F| is within the
+    rounding of P v. Rows still at work after NEWTON_MAX_STEPS steps raise.
+    Returns the solutions, each on the simplex as _project_rows leaves it,
+    and the number of Newton steps.
     """
-    lipschitz = 2.0 + rho * lam_max
-    kappa = np.sqrt(2.0 / lipschitz)
-    momentum = (1.0 - kappa) / (1.0 + kappa)
-    y_p = y @ p_matrix
-    x = v0
-    z = v0
-    for _ in range(max_iters):
-        grad = _gradient(z, v_hat, y_p, w_rows, rho, p_matrix)
-        x_new = _project_rows(z - grad / lipschitz)
-        z = x_new + momentum * (x_new - x)
-        residual = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if residual <= tol:
-            grad = _gradient(x, v_hat, y_p, w_rows, rho, p_matrix)
-            mapped = _project_rows(x - grad / lipschitz)
-            if float(np.max(np.abs(mapped - x))) <= tol:
-                break
-            z = x
-    return x
+    k = p_matrix.shape[0]
+    a = v_hat - 0.5 * (y @ p_matrix)
+    half_rho_p = 0.5 * rho * p_matrix
+    nu = v0 @ p_matrix.T - w_rows
+    b = a - nu @ half_rho_p
+    v = _project_rows(b)
+    residual = v @ p_matrix.T - w_rows - nu
+    rounding = EPS * (1 << k) * (1.0 + np.abs(b).max(axis=1))
+    work = np.flatnonzero(np.abs(residual).max(axis=1) > rounding)
+    steps = 0
+    while work.size:
+        if steps == NEWTON_MAX_STEPS:
+            raise RuntimeError(f"cycle subproblem unsolved after {steps} Newton steps")
+        steps += 1
+        support = v[work] > 0.0
+        s = support.astype(float)
+        sp = s @ p_matrix.T
+        pdp = (s[:, None, :] * p_matrix) @ p_matrix.T
+        pdp -= sp[:, :, None] * sp[:, None, :] / s.sum(axis=1)[:, None, None]
+        f = residual[work]
+        direction = np.linalg.solve(np.eye(k) + 0.5 * rho * pdp, f[..., None])[..., 0]
+        ascent = ARMIJO_FRACTION * rho * (f * direction).sum(axis=1)
+        g = None
+        t = 1.0
+        trying = np.arange(work.size)
+        while trying.size and t >= EPS:
+            rows = work[trying]
+            nu_t = nu[rows] + t * direction[trying]
+            b_t = a[rows] - nu_t @ half_rho_p
+            v_t = _project_rows(b_t)
+            residual_t = v_t @ p_matrix.T - w_rows[rows] - nu_t
+            if t == 1.0:
+                settled = ((v_t > 0.0) == support).all(axis=1)
+                ok = settled.copy()
+            else:
+                ok = np.zeros(trying.size, dtype=bool)
+            if not ok.all():
+                if g is None:
+                    g, size = _dual(v[work], a[work], nu[work], residual[work], rho)
+                g_t, size_t = _dual(v_t, a[rows], nu_t, residual_t, rho)
+                slack = EPS * (1 << k) * (size[trying] + size_t)
+                ok |= g_t - g[trying] >= t * ascent[trying] - slack
+            accepted = rows[ok]
+            nu[accepted], v[accepted], residual[accepted] = nu_t[ok], v_t[ok], residual_t[ok]
+            rounding[accepted] = EPS * (1 << k) * (1.0 + np.abs(b_t[ok]).max(axis=1))
+            trying = trying[~ok]
+            t *= 0.5
+        settled |= np.abs(residual[work]).max(axis=1) <= rounding[work]
+        work = work[~settled]
+    return v, steps
 
 
 def consensus_step(
@@ -241,7 +294,6 @@ def run_admm(
         if group.k > DEFAULT_LC_CAP:
             raise CycleCapError(fg.factors[group.factors[0]].cycle_id, group.k)
     p_matrices = [marginalization_matrix(group.k) for group in groups]
-    lam_max = [float(np.linalg.eigvalsh(p @ p.T).max()) for p in p_matrices]
     v_hat = [
         cycle_conditionals([fg.factors[i] for i in group.factors], params)
         for group in groups
@@ -273,11 +325,13 @@ def run_admm(
     dual = float("nan")
     trace: list[AdmmIterationStats] = []
     for iterations in range(1, opts.max_iters + 1):
+        steps = 0
         for g, (part, group, p) in enumerate(zip(slices, groups, p_matrices)):
-            v[g] = _solve_batch(
+            v[g], group_steps = _solve_batch(
                 v[g], v_hat[g], y[part].reshape(-1, group.k), w[pos[part]].reshape(-1, group.k),
-                rho, p, lam_max[g], SUBPROBLEM_TOL, SUBPROBLEM_MAX_ITERS,
+                rho, p,
             )
+            steps += group_steps
             marginals[part] = (v[g] @ p.T).ravel()
 
         w, y, primal, dual = consensus_step(marginals, y, pos, degree, slices, w, rho)
@@ -293,6 +347,7 @@ def run_admm(
                     min(float(block.min()) for block in v) if v else 0.0,
                     float(w.min()) if n_edges else 0.0,
                     float(w.max()) if n_edges else 0.0,
+                    steps,
                 )
             )
         if primal <= eps and dual <= eps:

@@ -3,12 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
+from loopsieve import infer_admm
 from loopsieve.infer_admm import (
     AdmmOptions,
+    _solve_batch,
     consensus_step,
     marginalization_matrix,
     run_admm,
@@ -23,6 +27,8 @@ from reference import (
     solve_cycle_subproblem,
 )
 
+RHOS = (0.0, 1e-4, 1.0, 1e4)
+
 
 def subproblem_objective(v, v_hat, y, w_c, rho, p_matrix):
     return (
@@ -30,6 +36,15 @@ def subproblem_objective(v, v_hat, y, w_c, rho, p_matrix):
         + float(y @ (p_matrix @ v))
         + 0.5 * rho * float(np.sum((p_matrix @ v - w_c) ** 2))
     )
+
+
+def objective_gap(v, ref, v_hat, y, w_c, rho, p_matrix):
+    """subproblem_objective(v) - subproblem_objective(ref), exact for the
+    quadratic as the step v - ref times the gradient at the midpoint, so
+    that the objective's large terms do not cancel in rounding."""
+    mid = 0.5 * (v + ref)
+    grad = 2 * (mid - v_hat) + p_matrix.T @ y + rho * p_matrix.T @ (p_matrix @ mid - w_c)
+    return float((v - ref) @ grad)
 
 
 def pgd_oracle(v_hat, y, w_c, rho, p_matrix, steps=200_000, lr=None):
@@ -150,6 +165,79 @@ class TestSubproblem:
             )
             assert np.all(v >= 0)
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def cycle_qps(draw):
+    """One cycle subproblem: k = 1..5, rho from RHOS, v_hat on the simplex
+    with exact zeros, duals up to 10 in magnitude and w in [0, 1]."""
+    k = draw(st.integers(1, 5))
+    weights = draw(
+        st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1 << k, max_size=1 << k)
+        .filter(lambda ws: sum(ws) > 1e-3)
+    )
+    v_hat = np.array(weights) / sum(weights)
+    y = np.array(draw(st.lists(st.just(0.0) | st.floats(-10.0, 10.0), min_size=k, max_size=k)))
+    w_c = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    return v_hat, y, w_c, draw(st.sampled_from(RHOS))
+
+
+def newton_solve(v_hat, y, w_c, rho):
+    """_solve_batch on one row, started from v_hat as run_admm's first
+    iteration starts."""
+    k = len(y)
+    v, steps = _solve_batch(
+        v_hat[None, :], v_hat[None, :], y[None, :], w_c[None, :], rho, marginalization_matrix(k)
+    )
+    return v[0], steps
+
+
+class TestNewtonSubproblem:
+    """_solve_batch, the library's Newton solver, against the reference's
+    accelerated projected gradient run to a tight tolerance."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cycle_qps())
+    def test_matches_reference_optimum(self, case):
+        v_hat, y, w_c, rho = case
+        pm = marginalization_matrix(len(y))
+        v, _ = newton_solve(v_hat, y, w_c, rho)
+        ref = solve_cycle_subproblem(v_hat, y, w_c, rho, tol=1e-13, max_iters=200_000)
+        assert np.abs(v - ref).max() <= 1e-7
+        assert objective_gap(v, ref, v_hat, y, w_c, rho, pm) <= 1e-12
+        assert abs(v.sum() - 1.0) <= 1e-12
+        assert v.min() >= 0.0
+
+    def test_damping_stops_a_two_support_cycle(self):
+        # k = 1: v = (v0, 1 - v0), and the optimum 4 (v0 - 1/2) + rho (v0 - w) = 0
+        # keeps both entries. From v_hat the support is {1}, where F has slope
+        # -1, so an undamped step jumps to nu = -w with support {0}, whose
+        # step jumps back to nu = 1 - w, and so on.
+        rho, w = 100.0, 0.3
+        v_hat, p_row = np.array([0.5, 0.5]), marginalization_matrix(1)[0]
+        nu, supports = p_row @ v_hat - w, []
+        for _ in range(4):
+            v = project_to_simplex(v_hat - 0.5 * rho * nu * p_row)
+            supports.append(tuple(np.flatnonzero(v)))
+            nu = p_row @ v - w  # the undamped step: H = 1 on a one-entry support
+        assert supports == [(1,), (0,), (1,), (0,)]
+        v, steps = newton_solve(v_hat, np.zeros(1), np.array([w]), rho)
+        v0 = (2.0 + rho * w) / (4.0 + rho)
+        assert v == pytest.approx([v0, 1.0 - v0], abs=1e-12)
+        assert steps < infer_admm.NEWTON_MAX_STEPS
+
+    def test_warm_start_at_the_optimum_takes_no_step(self):
+        v_hat, y, w_c, rho = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.3, -0.2]), np.array([0.6, 0.5]), 2.0
+        v, _ = newton_solve(v_hat, y, w_c, rho)
+        pm = marginalization_matrix(2)
+        again, steps = _solve_batch(v[None, :], v_hat[None, :], y[None, :], w_c[None, :], rho, pm)
+        assert steps == 0
+        assert again[0] == pytest.approx(v, abs=1e-15)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(infer_admm, "NEWTON_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="after 1 Newton steps"):
+            newton_solve(np.array([0.5, 0.5]), np.zeros(1), np.array([0.3]), 100.0)
 
 
 def step(marginals, duals, members_pos, rho, w_prev):

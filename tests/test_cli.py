@@ -44,7 +44,7 @@ def test_infer_admm_trace(tmp_path):
     )
     assert result.exit_code == 0, result.output
     lines = trace_file.read_text().splitlines()
-    assert lines[0] == "iter,r,t,rho"
+    assert lines[0] == "iter,r,t,rho,steps"
     assert len(lines) > 1
 
 
@@ -67,7 +67,7 @@ def test_infer_admm_trace_without_cycles(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert result.output.splitlines()[:2] == ["edge_id\tp_inlier", "1\t0.700000000"]
-    assert trace_file.read_text().splitlines() == ["iter,r,t,rho", "1,0,0,1"]
+    assert trace_file.read_text().splitlines() == ["iter,r,t,rho,steps", "1,0,0,1,0"]
 
 
 def test_classify_tsv(tmp_path):

@@ -93,8 +93,9 @@ def admm_and_final_v(fg, params):
     solved = []
 
     def recording(*args):
-        solved.append(solve(*args))
-        return solved[-1]
+        v, steps = solve(*args)
+        solved.append(v)
+        return v, steps
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(infer_admm, "_solve_batch", recording)
