@@ -30,8 +30,10 @@ The penalty rho follows the residual-balancing rule of Boyd et al.,
 "Distributed Optimization and Statistical Learning via ADMM" (2011,
 section 3.4.1) for the first RHO_FREEZE_AFTER iterations: it doubles when
 the primal residual exceeds ten times the dual residual, halves in the
-opposite case, and stays within [1e-4, 1e4]. After that rho is fixed,
-which is plain ADMM with its convergence guarantee.
+opposite case, and stays within [1e-4, 1e4]. y is the unscaled dual and
+is kept when rho changes; only a scaled dual u = y / rho would need
+rescaling (section 3.4.1). After that rho is fixed, which is plain ADMM
+with its convergence guarantee.
 """
 
 from __future__ import annotations
@@ -353,12 +355,8 @@ def run_admm(
         if primal <= eps and dual <= eps:
             converged = True
             break
-        if iterations >= RHO_FREEZE_AFTER:
-            continue
-        new_rho = update_rho(rho, dual, primal)
-        if new_rho != rho:
-            y = y * (new_rho / rho)
-            rho = new_rho
+        if iterations < RHO_FREEZE_AFTER:
+            rho = update_rho(rho, dual, primal)
 
     marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
     counts = np.empty(n_rows + len(fg.factors))
