@@ -176,13 +176,14 @@ def _solve_batch(
     and the number of Newton steps.
     """
     k = p_matrix.shape[0]
+    unit = EPS * (1 << k)  # relative rounding of a sum over the 2^k entries
     a = v_hat - 0.5 * (y @ p_matrix)
     half_rho_p = 0.5 * rho * p_matrix
     nu = v0 @ p_matrix.T - w_rows
     b = a - nu @ half_rho_p
     v = _project_rows(b)
     residual = v @ p_matrix.T - w_rows - nu
-    rounding = EPS * (1 << k) * (1.0 + np.abs(b).max(axis=1))
+    rounding = unit * (1.0 + np.abs(b).max(axis=1))
     work = np.flatnonzero(np.abs(residual).max(axis=1) > rounding)
     steps = 0
     while work.size:
@@ -215,11 +216,11 @@ def _solve_batch(
                 if g is None:
                     g, size = _dual(v[work], a[work], nu[work], residual[work], rho)
                 g_t, size_t = _dual(v_t, a[rows], nu_t, residual_t, rho)
-                slack = EPS * (1 << k) * (size[trying] + size_t)
+                slack = unit * (size[trying] + size_t)
                 ok |= g_t - g[trying] >= t * ascent[trying] - slack
             accepted = rows[ok]
             nu[accepted], v[accepted], residual[accepted] = nu_t[ok], v_t[ok], residual_t[ok]
-            rounding[accepted] = EPS * (1 << k) * (1.0 + np.abs(b_t[ok]).max(axis=1))
+            rounding[accepted] = unit * (1.0 + np.abs(b_t[ok]).max(axis=1))
             trying = trying[~ok]
             t *= 0.5
         settled |= np.abs(residual[work]).max(axis=1) <= rounding[work]

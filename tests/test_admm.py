@@ -432,6 +432,24 @@ class TestRunAdmm:
         row = result.trace[0]
         assert (row.max_simplex_gap, row.min_v) == (0.0, 0.0)
         assert (row.w_min, row.w_max) == (0.5, 0.5)
+        assert row.subproblem_steps == 0
+
+    def test_trace_counts_newton_steps(self, monkeypatch):
+        solve, counts = infer_admm._solve_batch, []
+
+        def recording(*args):
+            v, steps = solve(*args)
+            counts.append(steps)
+            return v, steps
+
+        monkeypatch.setattr(infer_admm, "_solve_batch", recording)
+        fg = three_cycle_factor_graph((0.1, 0.3, 0.2))
+        result = run_admm(fg, uniform_params(fg.variables), AdmmOptions(record_trace=True))
+        groups = len(fg.cycle_groups)
+        assert len(counts) == groups * result.iterations
+        assert [row.subproblem_steps for row in result.trace] == [
+            sum(counts[i : i + groups]) for i in range(0, len(counts), groups)
+        ]
 
     def test_groups_on_golden_em_graph(self):
         # The golden EM fit (tests/test_golden.py) runs run_admm on this
