@@ -64,7 +64,8 @@ RHO_MAX = 1e4
 RHO_FREEZE_AFTER = 100
 # The cycle subproblems' Newton solver (see _solve_batch) raises when rows
 # are still unsolved after NEWTON_MAX_STEPS steps; its line search accepts a
-# step that gains ARMIJO_FRACTION of the ascent the Newton model predicts.
+# step t along the Newton direction once g gains ARMIJO_FRACTION * t times
+# its initial slope along that direction.
 # Warm-started from the previous iteration, a batch takes 1-5 steps; cold
 # starts at rho = 1e4 can take over a hundred at k = 5.
 NEWTON_MAX_STEPS = 500
