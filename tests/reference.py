@@ -3,12 +3,12 @@
 The library computes with arrays: `model.log_likelihood_rows` is its one
 likelihood, `run_bp` updates messages in batches of equal cycle size,
 `run_admm` solves the cycle subproblems of equal size in one batch by
-semismooth Newton on their duals, and `exact_marginals` adds small
-broadcast tables into one (2,)^n view per block. The functions here
-compute the same quantities one scalar, one factor, one message or one
-full-length state array at a time, and solve ADMM's cycle subproblem in
-the primal by accelerated projected gradient; the tests compare the
-library against them.
+semismooth Newton on their duals, and `exact_marginals` eliminates
+variables bucket by bucket. The functions here compute the same
+quantities one scalar, one factor, one message or one full-length state
+array at a time, and solve ADMM's cycle subproblem in the primal by
+accelerated projected gradient; the tests compare the library against
+them.
 
 The library reports each cycle's posterior only as the marginals of its
 outlier count. The references here keep the posterior over all 2^k
@@ -29,12 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from loopsieve.cycles import CycleBasis
-from loopsieve.factorgraph import (
-    EXACT_ENUMERATION_LIMIT,
-    FactorGraph,
-    InferenceResult,
-    _connected_components,
-)
+from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
 from loopsieve.infer_admm import _project_rows, marginalization_matrix
 from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
@@ -176,6 +171,38 @@ def reference_lifted_shortest_path(adjacency, odd_edges, source: int) -> list[in
 
 # --- exact enumeration on full-length state arrays -----------------------
 
+# enumeration is O(2^n): refuse blocks of more coupled variables than this
+ENUMERATION_LIMIT = 22
+
+
+def connected_components(fg: FactorGraph) -> list[tuple[list[int], list[int]]]:
+    """(variable ids, factor indices) per connected block of the factor graph."""
+    var_factors = fg.var_factors
+    seen_vars: set[int] = set()
+    seen_factors: set[int] = set()
+    components = []
+    for start in fg.covered_variables:
+        if start in seen_vars:
+            continue
+        vars_here: list[int] = []
+        factors_here: list[int] = []
+        stack = [start]
+        seen_vars.add(start)
+        while stack:
+            eid = stack.pop()
+            vars_here.append(eid)
+            for f_idx in var_factors[eid]:
+                if f_idx in seen_factors:
+                    continue
+                seen_factors.add(f_idx)
+                factors_here.append(f_idx)
+                for other in fg.factors[f_idx].lc_members:
+                    if other not in seen_vars:
+                        seen_vars.add(other)
+                        stack.append(other)
+        components.append((sorted(vars_here), sorted(factors_here)))
+    return components
+
 
 def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
     """Posterior marginals by enumeration, one connected block at a time,
@@ -189,12 +216,12 @@ def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> Inference
     rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
     offsets = np.cumsum([0] + [len(f.lc_members) + 1 for f in fg.factors])
     log_z = 0.0
-    for var_ids, factor_indices in _connected_components(fg):
+    for var_ids, factor_indices in connected_components(fg):
         n = len(var_ids)
-        if n > EXACT_ENUMERATION_LIMIT:
+        if n > ENUMERATION_LIMIT:
             raise ValueError(
                 f"exact enumeration over a {n}-edge block exceeds the limit of "
-                f"{EXACT_ENUMERATION_LIMIT}"
+                f"{ENUMERATION_LIMIT}"
             )
         position = {eid: i for i, eid in enumerate(var_ids)}
         masks = np.arange(1 << n, dtype=np.int64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
 from loopsieve.bench import DEFAULT_SIGMA, DEFAULT_SIGMA_BAR, classify
 from loopsieve.factorgraph import (
-    EXACT_ENUMERATION_LIMIT,
+    EXACT_CLIQUE_LIMIT,
     FactorGraph,
     InferenceMethod,
     build_factor_graph,
@@ -118,16 +119,34 @@ class TestLimits:
         for eid in fg.variables:
             assert bp.edge_marginals[eid] == pytest.approx(exact.edge_marginals[eid], abs=1e-6)
 
-    def test_exact_block_over_the_limit_is_refused(self):
+    def test_exact_clique_over_the_limit_is_refused_before_any_table(self):
+        # one cycle of 23 loop closures: its own table would be a 23-edge
+        # clique of 2^23 float64 entries (64 MiB)
+        fg = FactorGraph(tuple(range(23)), (CycleFactor(0, tuple(range(23)), 0, 0.1),))
+        assert EXACT_CLIQUE_LIMIT == 22
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="clique of 23 edges, over the limit of 22"):
+                exact_marginals(fg, uniform_params(fg.variables))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+    def test_exact_solves_a_23_edge_block_of_small_cliques(self):
         # cycles of 16 and 8 loop closures that share edge 15: one
-        # 23-variable block, one over EXACT_ENUMERATION_LIMIT
+        # 23-variable block, too large to enumerate, whose largest clique
+        # is the 16-member cycle. The two cycles form a tree, where BP is
+        # exact too.
         fg = FactorGraph(tuple(range(23)), (
             CycleFactor(0, tuple(range(16)), 0, 0.1),
             CycleFactor(1, tuple(range(15, 23)), 0, 0.1),
         ))
-        assert EXACT_ENUMERATION_LIMIT == 22
-        with pytest.raises(ValueError, match="23-edge block exceeds the limit of 22"):
-            exact_marginals(fg, uniform_params(fg.variables))
+        p = uniform_params(fg.variables)
+        bp, exact = run_bp(fg, p), exact_marginals(fg, p)
+        assert bp.converged
+        for eid in fg.variables:
+            assert bp.edge_marginals[eid] == pytest.approx(exact.edge_marginals[eid], abs=1e-6)
 
 
 class TestBatchedMatchesReference:

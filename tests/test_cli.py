@@ -114,6 +114,23 @@ def test_em_trace_csv(tmp_path):
     assert len(lines) >= 2
 
 
+def test_em_default_exact_on_a_block_over_22_edges(tmp_path):
+    # m = 40 couples every loop closure into one 40-edge block, which
+    # enumeration refused; elimination needs cliques of a few edges
+    graph_file = tmp_path / "g40.pgraph"
+    runner = CliRunner()
+    result = runner.invoke(
+        main, ["synth", "--m", "40", "--outliers", "8", "--seed", "1", "-o", str(graph_file)]
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["em", str(graph_file), "--rounds", "3"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert lines[0] == "round,sigma_deg,sigma_bar_deg,q,data_log_likelihood,inference_converged"
+    assert len(lines) >= 4
+    assert all(l.endswith(",true") and "nan" not in l for l in lines[1:4])
+
+
 def test_synth_single_graph(tmp_path):
     out = tmp_path / "synth.pgraph"
     result = CliRunner().invoke(

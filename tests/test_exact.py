@@ -9,26 +9,27 @@ from hypothesis import strategies as st
 from conftest import mean_count_gaps
 from loopsieve import infer_admm
 from loopsieve.cycles import minimum_cycle_basis
-from loopsieve.factorgraph import (
-    FactorGraph,
-    _connected_components,
-    build_factor_graph,
-    exact_marginals,
-)
+from loopsieve.em import EmConfig, run_em
+from loopsieve.factorgraph import FactorGraph, InferenceMethod, build_factor_graph, exact_marginals
 from loopsieve.infer_bp import DEFAULT_DAMPING, run_bp
 from loopsieve.model import CycleFactor, ModelParams
-from loopsieve.synth import generate, suite_specs
-from reference import fold_by_count, reference_bp, reference_exact_marginals
-
-
-def pinned(result):
-    """The outputs of exact enumeration that the reference reproduces bit
-    for bit: the count marginals add their bins in another order."""
-    return result.edge_marginals, float.hex(result.log_evidence)
+from loopsieve.synth import SynthSpec, generate, generate_suite, suite_specs
+from reference import (
+    connected_components,
+    fold_by_count,
+    reference_bp,
+    reference_exact_marginals,
+)
 
 
 def assert_matches_reference(result, reference):
-    assert pinned(result) == pinned(reference)
+    """Elimination and enumeration add the same terms in another order, so
+    they agree to 1e-12: absolute on probabilities, relative on the log
+    evidence."""
+    assert result.edge_marginals.keys() == reference.edge_marginals.keys()
+    for eid, p in reference.edge_marginals.items():
+        assert result.edge_marginals[eid] == pytest.approx(p, rel=0, abs=1e-12)
+    assert result.log_evidence == pytest.approx(reference.log_evidence, rel=1e-12, abs=0)
     assert result.count_marginals.shape == reference.count_marginals.shape
     assert np.abs(result.count_marginals - reference.count_marginals).max(initial=0.0) <= 1e-12
 
@@ -64,16 +65,13 @@ def desk_suite_block():
     (spec,) = suite_specs((20,), seed=3, scale=1 / 20)
     g = generate(spec)
     fg = build_factor_graph(g, minimum_cycle_basis(g))
-    assert [len(v) for v, _ in _connected_components(fg)] == [20]
+    assert [len(v) for v, _ in connected_components(fg)] == [20]
     return fg, ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))
 
 
 class TestMatchesFullLengthEnumeration:
-    """exact_marginals against the per-factor state arrays of the reference:
-    the same floating-point operations in the same order, so equal bits for
-    the edge marginals and the log evidence. The count marginals are binned
-    by count directly, where the reference folds 2^k bins, so they agree
-    to 1e-12."""
+    """exact_marginals against the reference's enumeration of every state
+    of each connected block, with per-factor state arrays."""
 
     @settings(max_examples=150, deadline=None)
     @given(factor_graphs())
@@ -84,6 +82,62 @@ class TestMatchesFullLengthEnumeration:
     def test_twenty_variable_block(self):
         fg, params = desk_suite_block()
         assert_matches_reference(exact_marginals(fg, params), reference_exact_marginals(fg, params))
+
+    def test_twenty_variable_block_with_certain_priors(self):
+        # priors of exactly 0 and 1 put -inf into the tables and into the
+        # messages sent down the elimination tree; no RuntimeWarning may
+        # escape (pyproject.toml makes one an error)
+        fg, params = desk_suite_block()
+        certain = {eid: (0.0, 1.0, params.prior(eid))[i % 3] for i, eid in enumerate(fg.variables)}
+        params = ModelParams(params.sigma, params.sigma_bar, certain)
+        result = exact_marginals(fg, params)
+        assert_matches_reference(result, reference_exact_marginals(fg, params))
+        for eid, p in certain.items():
+            if p in (0.0, 1.0):
+                assert result.edge_marginals[eid] == p
+
+
+def em_fit_graph(outliers: int, seed: int = 1):
+    """One m = 100 graph of perfbench's em-fit workload for the given seed."""
+    graph_seed = int(np.random.SeedSequence([seed, 100, outliers, 0]).generate_state(1)[0])
+    return generate(SynthSpec(m_lc=100, num_outliers=outliers, seed=graph_seed))
+
+
+class TestCoverage:
+    """Elimination is bounded by its cliques, not by block size: every graph
+    of the criterion-7 suite and of em-fit is solved, though most have a
+    block over the 22 edges that enumeration could take."""
+
+    def test_criterion_7_suite(self):
+        blocks = []
+        for _, g in generate_suite(m_values=range(10, 51, 5), seed=7):
+            fg = build_factor_graph(g, minimum_cycle_basis(g))
+            result = exact_marginals(fg, ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0)))
+            assert math.isfinite(result.log_evidence)
+            assert mean_count_gaps(fg, result).max(initial=0.0) <= 1e-9
+            blocks.append(max(len(v) for v, _ in connected_components(fg)))
+        assert len(blocks) == 261
+        assert sum(b > 22 for b in blocks) == 219
+
+    @pytest.mark.parametrize("outliers", [10, 20, 30, 40])
+    def test_em_fit_graphs(self, outliers):
+        g = em_fit_graph(outliers)
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        assert max(len(v) for v, _ in connected_components(fg)) > 22
+        result = exact_marginals(fg, ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0)))
+        assert math.isfinite(result.log_evidence)
+        assert mean_count_gaps(fg, result).max(initial=0.0) <= 1e-9
+
+    def test_exact_e_step_em_at_em_fit_scale(self):
+        g = em_fit_graph(20)
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        init = ModelParams.from_graph(g, math.radians(4.0), math.radians(30.0))
+        params, trace, _ = run_em(fg, init, EmConfig(max_rounds=10, inference=InferenceMethod.EXACT))
+        assert len(trace.rounds) >= 2
+        assert all(math.isfinite(r.data_log_likelihood) for r in trace.rounds)
+        # synth draws 2 and 20 degree angles; per-axis scales near them / sqrt(3)
+        assert 0.5 <= math.degrees(params.sigma) <= 2.0
+        assert 5.0 <= math.degrees(params.sigma_bar) <= 20.0
 
 
 def admm_and_final_v(fg, params):
@@ -136,8 +190,9 @@ class TestCountMarginals:
 
 
 def test_twenty_variable_block_peak_memory():
-    """At most four 2^20 float64 arrays alive at once; the reference's per-
-    factor state arrays take about 26."""
+    """Elimination never builds the block's 2^20 states: its cliques have
+    at most 4 edges, and the whole run stays under 1 MiB where one 2^20
+    float64 table alone takes 8 MiB."""
     fg, params = desk_suite_block()
     tracemalloc.start()
     try:
@@ -145,4 +200,4 @@ def test_twenty_variable_block_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (1 << 20) * 8
+    assert peak <= 1 << 20
