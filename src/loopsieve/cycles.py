@@ -4,9 +4,13 @@ The basis is computed with de Pina's algorithm: GF(2) witness vectors
 supported on the chords of a spanning forest, and for each witness a
 shortest cycle with odd intersection found via breadth-first search in a
 parity-lifted (doubled) graph. Edge weight is 1 per edge, so the basis is
-minimal in total edge count. Tie-breaking is deterministic: among
-equal-weight candidates the lexicographically smallest sorted edge-id set
-wins.
+minimal in total edge count. Tie-breaking is deterministic but local: for
+each witness, one BFS runs from each endpoint of its odd edges and keeps
+the first shortest path it finds (neighbours in edge-id order); each path
+is split into simple cycles, and among the odd pieces of those paths the
+one with the smallest (length, sorted edge ids) wins. A shortest odd cycle
+that no such path traces is never a candidate, so the basis need not be
+the lexicographically smallest minimum basis.
 """
 
 from __future__ import annotations

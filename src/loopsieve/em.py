@@ -210,7 +210,7 @@ def run_em(
     previous_q: float | None = None
     for round_index in range(1, cfg.max_rounds + 1):
         responsibilities = e_step(fg, params, cfg.inference)
-        # log_evidence is NaN unless the E-step is exact enumeration
+        # log_evidence is NaN unless the E-step is exact
         data_ll = responsibilities.log_evidence
         if cfg.include_psi and cfg.inference is InferenceMethod.EXACT:
             table = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])

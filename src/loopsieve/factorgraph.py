@@ -10,8 +10,8 @@ ch. 9-10).
 
 The cost is set by the elimination cliques, not by the size of a connected
 block: a clique of c edges is one float64 table of 2^c entries, and the
-greedy min-fill order keeps c at 9 or less on every graph of the synthetic
-suites. Cliques over EXACT_CLIQUE_LIMIT edges are refused before any table
+greedy min-fill order keeps c at 9 or less on every graph of the desk-scale
+suite. Cliques over EXACT_CLIQUE_LIMIT edges are refused before any table
 is built.
 """
 
@@ -28,8 +28,8 @@ from .graph import PoseGraph, loop_closure_edges
 from .model import (
     CycleFactor,
     ModelParams,
-    factors_from_basis,
     _popcounts,
+    factors_from_basis,
     log_likelihood_rows,
     log_prior_vector,
 )

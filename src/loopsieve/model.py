@@ -12,7 +12,7 @@ posterior as the k + 1 marginals of its outlier count, and EM weights the
 rows of :func:`log_likelihood_rows` by them.
 
 :func:`log_likelihood_rows` is the library's single density: BP's message
-weights, exact enumeration, the cycle conditionals that ADMM starts from,
+weights, exact elimination, the cycle conditionals that ADMM starts from,
 log psi and the EM objective all read it.
 """
 

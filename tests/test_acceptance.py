@@ -125,7 +125,7 @@ def _gf2_rank(masks):
 
 
 def _agreement_study(rng, outlier_cap):
-    """Label agreement of BP and ADMM against exact enumeration over 100
+    """Label agreement of BP and ADMM against exact inference over 100
     random two-map graphs with at most 12 loop-closure edges."""
     admm_agree = bp_agree = total = 0
     gaps = []

@@ -6,7 +6,7 @@ ADMM E-step, as the code produced them when the file was recorded. A
 refactor that is meant to keep outputs must reproduce them.
 
 It also pins the back-ends at full precision, on the EM graph and on a
-smaller graph that exact enumeration takes whole: each back-end's edge
+smaller graph that exact also runs on: each back-end's edge
 marginals as `float.hex`, a SHA-256 of its count-marginal bytes, exact's
 log evidence, and the BP-, ADMM- and exact-E-step EM traces (sigma,
 sigma_bar, q and the data log-likelihood as `float.hex`). These are
@@ -50,8 +50,8 @@ def suite_csv() -> str:
 
 
 def em_graph(m_lc: int = 30, num_outliers: int = 6):
-    """The EM graph (m = 30) or a smaller one that exact enumeration can
-    take whole, with their initial parameters."""
+    """The EM graph (m = 30) or a smaller one for exact, with their
+    initial parameters."""
     g = generate(SynthSpec(m_lc=m_lc, num_outliers=num_outliers, nodes_per_map=8, seed=5))
     fg = build_factor_graph(g, minimum_cycle_basis(g))
     init = ModelParams.from_graph(g, math.radians(4.0), math.radians(30.0))
@@ -83,8 +83,7 @@ def pinned(result) -> dict:
 
 def backend_outputs() -> dict:
     """Each back-end's output under the initial parameters: bp and admm on
-    the EM graph (its 30-edge block is over exact's limit), all three on
-    the smaller graph."""
+    the EM graph, all three on the smaller graph."""
     fg, init = em_graph()
     small, small_init = exact_graph()
     return {
