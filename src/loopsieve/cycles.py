@@ -4,18 +4,22 @@ The basis is computed with de Pina's algorithm: GF(2) witness vectors
 supported on the chords of a spanning forest, and for each witness a
 shortest cycle with odd intersection found via breadth-first search in a
 parity-lifted (doubled) graph. Edge weight is 1 per edge, so the basis is
-minimal in total edge count. Tie-breaking is deterministic but local: for
-each witness, one BFS runs from each endpoint of its odd edges and keeps
-the first shortest path it finds (neighbours in edge-id order); each path
-is split into simple cycles, and among the odd pieces of those paths the
-one with the smallest (length, sorted edge ids) wins. A shortest odd cycle
-that no such path traces is never a candidate, so the basis need not be
-the lexicographically smallest minimum basis.
+minimal in total edge count.
+
+Nodes are numbered 0 .. V-1 in sorted id order and lifted vertex
+(v, parity) is 2*v + parity. The lifted adjacency is built once per graph,
+and each witness patches only its odd edges' endpoint rows to flip parity.
+Tie-breaking is deterministic but local: for each witness, one BFS runs
+from each endpoint of its odd edges and keeps the first shortest path it
+finds (neighbours in edge-id order); each path is split into simple cycles
+(a path through distinct vertices is one already), and among the odd
+pieces of those paths the one with the smallest (length, sorted edge ids)
+wins. A shortest odd cycle that no such path traces is never a candidate,
+so the basis need not be the lexicographically smallest minimum basis.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,12 +109,13 @@ def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
     |E| - |V| + (connected components). Output is deterministic.
     """
     endpoints = {e.id: (e.src, e.dst) for e in g.edges}
-    adjacency: dict[int, list[tuple[int, int]]] = {n.id: [] for n in g.nodes}
+    index = {node_id: i for i, node_id in enumerate(sorted(n.id for n in g.nodes))}
+    # rows come out in edge-id order, since edges are visited in that order
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in index]
     for eid, (u, v) in sorted(endpoints.items()):
-        adjacency[u].append((eid, v))
-        adjacency[v].append((eid, u))
-    for lst in adjacency.values():
-        lst.sort()
+        adjacency[index[u]].append((eid, index[v]))
+        adjacency[index[v]].append((eid, index[u]))
+    lifted = [[(2 * w + p, eid) for eid, w in row] for row in adjacency for p in (0, 1)]
 
     chords = _chords(adjacency, endpoints)
     chord_pos = {eid: i for i, eid in enumerate(chords)}
@@ -118,18 +123,23 @@ def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
 
     basis: list[Cycle] = []
     for i in range(len(chords)):
-        odd_edges = {chords[b] for b in range(len(chords)) if witnesses[i] >> b & 1}
-        cycle_edges = _min_odd_cycle(adjacency, endpoints, odd_edges)
+        odd_edges: set[int] = set()
+        bits = witnesses[i]
+        while bits:
+            low = bits & -bits
+            odd_edges.add(chords[low.bit_length() - 1])
+            bits ^= low
+        cycle_edges = _shortest_odd_cycle(lifted, index, endpoints, odd_edges)
         cycle_mask = 0
         for eid in cycle_edges:
             if eid in chord_pos:
                 cycle_mask |= 1 << chord_pos[eid]
-        if not _parity(cycle_mask & witnesses[i]):
+        if not (cycle_mask & witnesses[i]).bit_count() & 1:
             raise AssertionError("cycle is not odd against its witness")
         for j in range(i + 1, len(chords)):
-            if _parity(cycle_mask & witnesses[j]):
+            if (cycle_mask & witnesses[j]).bit_count() & 1:
                 witnesses[j] ^= witnesses[i]
-        basis.append(_orient_cycle(sorted(cycle_edges), endpoints))
+        basis.append(_orient_cycle(list(cycle_edges), endpoints))
 
     lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
     covered = frozenset(
@@ -141,84 +151,93 @@ def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
 def _chords(adjacency, endpoints) -> list[int]:
     """Non-tree edges of a BFS spanning forest, sorted by edge id."""
     tree_edges: set[int] = set()
-    visited: set[int] = set()
-    for root in sorted(adjacency):
-        if root in visited:
+    visited = [False] * len(adjacency)
+    for root in range(len(adjacency)):
+        if visited[root]:
             continue
-        visited.add(root)
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
+        visited[root] = True
+        queue = [root]
+        for node in queue:
             for eid, other in adjacency[node]:
-                if other not in visited:
-                    visited.add(other)
+                if not visited[other]:
+                    visited[other] = True
                     tree_edges.add(eid)
                     queue.append(other)
     return sorted(eid for eid in endpoints if eid not in tree_edges)
 
 
-def _parity(mask: int) -> int:
-    return mask.bit_count() & 1
+def _shortest_odd_cycle(lifted, index, endpoints, odd_edges: set[int]) -> tuple[int, ...]:
+    """Sorted edge ids of a minimum-weight cycle whose intersection with
+    odd_edges is odd.
 
-
-def _min_odd_cycle(adjacency, endpoints, odd_edges: set[int]) -> set[int]:
-    """Minimum-weight cycle whose intersection with odd_edges is odd.
-
-    Searches the parity-lifted graph: traversing an edge in odd_edges flips
-    the parity bit, and any shortest (v, 0) -> (v, 1) path projects onto a
-    closed odd edge set. Such a set is an edge-disjoint union of simple
-    cycles, at least one of which is odd; the best odd piece is kept.
+    Searches the parity-lifted graph, in which traversing an edge in
+    odd_edges flips the parity bit: the rows of the odd edges' endpoints are
+    patched for the search and restored after it. Any shortest (v, 0) ->
+    (v, 1) path projects onto a closed odd edge set. Such a set is an
+    edge-disjoint union of simple cycles, at least one of which is odd; the
+    best odd piece is kept.
     """
-    sources: list[int] = sorted({v for eid in odd_edges for v in endpoints[eid]})
-    best_key = None
-    best: set[int] | None = None
+    sources = sorted({index[v] for eid in odd_edges for v in endpoints[eid]})
+    saved = {x: lifted[x] for v in sources for x in (2 * v, 2 * v + 1)}
+    for x, row in saved.items():
+        lifted[x] = [(t ^ 1, e) if e in odd_edges else (t, e) for t, e in row]
+    best_len = len(endpoints) + 1
+    best: tuple[int, ...] = ()
     for source in sources:
-        path = _lifted_shortest_path(adjacency, odd_edges, source)
-        if path is None:
+        found = _lifted_path(lifted, 2 * source)
+        if found is None:
             continue
-        edge_set: set[int] = set()
-        for eid in path:
-            edge_set.symmetric_difference_update({eid})
-        for piece in _split_into_simple_cycles(edge_set, endpoints):
-            if len(piece & odd_edges) % 2 == 0:
+        path, simple = found
+        # a closed walk through distinct vertices is its own only piece and,
+        # crossing odd_edges an odd number of times, is odd
+        pieces = [path] if simple else [
+            piece
+            for piece in _split_into_simple_cycles(
+                {eid for eid in path if path.count(eid) % 2}, endpoints
+            )
+            if len(piece & odd_edges) % 2
+        ]
+        for piece in pieces:
+            if len(piece) > best_len:
                 continue
-            key = (len(piece), tuple(sorted(piece)))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = piece
-    if best is None:
+            ids = tuple(sorted(piece))
+            if len(ids) < best_len or ids < best:
+                best_len, best = len(ids), ids
+    for x, row in saved.items():
+        lifted[x] = row
+    if not best:
         raise AssertionError("no odd cycle found for a chord witness")
     return best
 
 
-def _lifted_shortest_path(adjacency, odd_edges, source: int) -> list[int] | None:
-    """BFS from (source, 0) to (source, 1); returns the edge ids of the path.
+def _lifted_path(lifted, start: int) -> tuple[list[int], bool] | None:
+    """BFS from lifted vertex start = (s, 0) to start + 1 = (s, 1).
 
-    Lifted vertex (v, parity) is the integer 2*v + parity. The search ends
-    when the goal is first discovered: its parent, and so the path, is fixed
-    then.
+    Returns the path's edge ids and whether its projected vertices are
+    distinct. The search ends when the goal is first discovered: its parent,
+    and so the path, is fixed then.
     """
-    start = 2 * source
     goal = start + 1
-    parents: dict[int, tuple[int, int]] = {start: (start, -1)}
-    queue = deque([start])
-    while queue and goal not in parents:
-        lifted = queue.popleft()
-        parity = lifted & 1
-        for eid, other in adjacency[lifted >> 1]:
-            nxt = 2 * other + (parity ^ (eid in odd_edges))
-            if nxt not in parents:
-                parents[nxt] = (lifted, eid)
-                queue.append(nxt)
-    if goal not in parents:
-        return None
-    path: list[int] = []
-    cursor = goal
-    while cursor != start:
-        cursor, eid = parents[cursor]
-        path.append(eid)
-    path.reverse()
-    return path
+    parent = [-1] * len(lifted)
+    parent_edge = [-1] * len(lifted)
+    parent[start] = start
+    queue = [start]
+    for x in queue:
+        for t, eid in lifted[x]:
+            if parent[t] < 0:
+                parent[t] = x
+                parent_edge[t] = eid
+                if t == goal:
+                    path: list[int] = []
+                    vertices: set[int] = set()
+                    while t != start:
+                        path.append(parent_edge[t])
+                        t = parent[t]
+                        vertices.add(t >> 1)
+                    path.reverse()
+                    return path, len(vertices) == len(path)
+                queue.append(t)
+    return None
 
 
 def _split_into_simple_cycles(edge_set: set[int], endpoints) -> list[set[int]]:

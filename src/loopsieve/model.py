@@ -213,8 +213,9 @@ def factors_from_basis(g: PoseGraph, basis: CycleBasis) -> tuple[CycleFactor, ..
 
 @functools.lru_cache(maxsize=None)
 def _popcounts(k: int) -> np.ndarray:
-    """Outlier count of each mask 0 .. 2^k - 1; a read-only table per k."""
-    counts = np.zeros(1, dtype=np.intp)
+    """Outlier count of each mask 0 .. 2^k - 1; a read-only table per k,
+    one byte per entry."""
+    counts = np.zeros(1, dtype=np.uint8)
     for _ in range(k):
         counts = np.concatenate([counts, counts + 1])
     counts.setflags(write=False)

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from loopsieve.cycles import CycleBasis
+from loopsieve.cycles import Cycle, CycleBasis, _orient_cycle, _split_into_simple_cycles
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
 from loopsieve.infer_admm import _project_rows, marginalization_matrix
@@ -139,6 +139,97 @@ def joint_log_density(
 
 
 # --- the cycle basis search on tuple-keyed lifted vertices ----------------
+
+
+def reference_minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
+    """de Pina's basis on a dict adjacency keyed by node id: one witness at
+    a time, a set-membership test per scanned edge in the lifted BFS, and
+    every path split into simple cycles."""
+    endpoints = {e.id: (e.src, e.dst) for e in g.edges}
+    adjacency: dict[int, list[tuple[int, int]]] = {n.id: [] for n in g.nodes}
+    for eid, (u, v) in sorted(endpoints.items()):
+        adjacency[u].append((eid, v))
+        adjacency[v].append((eid, u))
+    for lst in adjacency.values():
+        lst.sort()
+
+    chords = _chords(adjacency, endpoints)
+    chord_pos = {eid: i for i, eid in enumerate(chords)}
+    witnesses = [1 << i for i in range(len(chords))]
+
+    basis: list[Cycle] = []
+    for i in range(len(chords)):
+        odd_edges = {chords[b] for b in range(len(chords)) if witnesses[i] >> b & 1}
+        cycle_edges = _min_odd_cycle(adjacency, endpoints, odd_edges)
+        cycle_mask = 0
+        for eid in cycle_edges:
+            if eid in chord_pos:
+                cycle_mask |= 1 << chord_pos[eid]
+        if not _parity(cycle_mask & witnesses[i]):
+            raise AssertionError("cycle is not odd against its witness")
+        for j in range(i + 1, len(chords)):
+            if _parity(cycle_mask & witnesses[j]):
+                witnesses[j] ^= witnesses[i]
+        basis.append(_orient_cycle(sorted(cycle_edges), endpoints))
+
+    lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
+    covered = frozenset(
+        eid for cycle in basis for eid in cycle.edge_ids if eid in lc_ids
+    )
+    return CycleBasis(tuple(basis), covered)
+
+
+def _chords(adjacency, endpoints) -> list[int]:
+    """Non-tree edges of a BFS spanning forest, sorted by edge id."""
+    tree_edges: set[int] = set()
+    visited: set[int] = set()
+    for root in sorted(adjacency):
+        if root in visited:
+            continue
+        visited.add(root)
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            for eid, other in adjacency[node]:
+                if other not in visited:
+                    visited.add(other)
+                    tree_edges.add(eid)
+                    queue.append(other)
+    return sorted(eid for eid in endpoints if eid not in tree_edges)
+
+
+def _parity(mask: int) -> int:
+    return mask.bit_count() & 1
+
+
+def _min_odd_cycle(adjacency, endpoints, odd_edges: set[int]) -> set[int]:
+    """Minimum-weight cycle whose intersection with odd_edges is odd.
+
+    Searches the parity-lifted graph: traversing an edge in odd_edges flips
+    the parity bit, and any shortest (v, 0) -> (v, 1) path projects onto a
+    closed odd edge set. Such a set is an edge-disjoint union of simple
+    cycles, at least one of which is odd; the best odd piece is kept.
+    """
+    sources: list[int] = sorted({v for eid in odd_edges for v in endpoints[eid]})
+    best_key = None
+    best: set[int] | None = None
+    for source in sources:
+        path = reference_lifted_shortest_path(adjacency, odd_edges, source)
+        if path is None:
+            continue
+        edge_set: set[int] = set()
+        for eid in path:
+            edge_set.symmetric_difference_update({eid})
+        for piece in _split_into_simple_cycles(edge_set, endpoints):
+            if len(piece & odd_edges) % 2 == 0:
+                continue
+            key = (len(piece), tuple(sorted(piece)))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = piece
+    if best is None:
+        raise AssertionError("no odd cycle found for a chord witness")
+    return best
 
 
 def reference_lifted_shortest_path(adjacency, odd_edges, source: int) -> list[int] | None:

@@ -2,26 +2,68 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_mcb_weight, make_graph, random_multigraph
-from loopsieve import cycles
+from conftest import brute_force_mcb_weight, identity_edge, make_graph, random_multigraph
 from loopsieve.cycles import (
     Cycle,
     CycleError,
     Direction,
+    _lifted_path,
     cycle_error,
     cycle_rotation,
     minimum_cycle_basis,
     validate_cycle,
 )
-from loopsieve.graph import EdgeKind
+from loopsieve.graph import EdgeKind, Node, PoseGraph
 from loopsieve.so3 import exp_so3
-from loopsieve.synth import SynthSpec, generate
-from reference import reference_lifted_shortest_path
+from loopsieve.synth import SynthSpec, generate, suite_specs
+from reference import reference_minimum_cycle_basis
 
 
 def basis_edge_sets(basis):
     return sorted(tuple(sorted(c.edge_ids)) for c in basis.cycles)
+
+
+@st.composite
+def relabelled_multigraphs(draw):
+    """Disjoint components, each a forest or a multigraph with parallel
+    edges (one-node components are isolated nodes), under sparse node and
+    edge ids that do not follow the structure, listed in shuffled order."""
+    pairs = []
+    n_nodes = 0
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 6))
+        if draw(st.booleans()):
+            local = [(i, draw(st.integers(0, i - 1))) for i in range(1, size)]
+        elif size > 1:
+            local = draw(st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(1, size - 1)).map(
+                    lambda p: (p[0], (p[0] + p[1]) % size)
+                ),
+                max_size=10,
+            ))
+        else:
+            local = []
+        pairs += [(n_nodes + u, n_nodes + v) for u, v in local]
+        n_nodes += size
+    ids = st.integers(0, 10**6)
+    if draw(st.booleans()):
+        node_ids = [7 * i + 3 for i in draw(st.permutations(range(n_nodes)))]
+        edge_ids = [7 * i + 3 for i in draw(st.permutations(range(len(pairs))))]
+    else:
+        node_ids = draw(st.lists(ids, min_size=n_nodes, max_size=n_nodes, unique=True))
+        edge_ids = draw(st.lists(ids, min_size=len(pairs), max_size=len(pairs), unique=True))
+    kinds = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    nodes = [Node(node_id, 0) for node_id in node_ids]
+    edges = [
+        identity_edge(eid, node_ids[u], node_ids[v], EdgeKind.EGO if ego else EdgeKind.LOOP_CLOSURE)
+        for eid, (u, v), ego in zip(edge_ids, pairs, kinds)
+    ]
+    return PoseGraph(
+        tuple(draw(st.permutations(nodes))), tuple(draw(st.permutations(edges)))
+    )
 
 
 class TestMinimumCycleBasis:
@@ -106,9 +148,10 @@ class TestMinimumCycleBasis:
             members = [e for e in cycle.edge_ids if e in lc_ids]
             assert len(members) >= 2
 
-    def test_same_ordered_basis_as_tuple_keyed_search(self, monkeypatch, rng):
+    def test_same_ordered_basis_as_tuple_keyed_search(self, rng):
         # the m = 100 graphs of the perfbench em-fit workload, seeds 1-5,
-        # one m = 200 graph and small random multigraphs
+        # one m = 200 graph, small random multigraphs and the desk-suite
+        # graphs of seed 1
         graphs = [
             generate(SynthSpec(m_lc=100, num_outliers=k, seed=int(
                 np.random.SeedSequence([seed, 100, k, 0]).generate_state(1)[0]
@@ -118,9 +161,31 @@ class TestMinimumCycleBasis:
         ]
         graphs.append(generate(SynthSpec(m_lc=200, num_outliers=40, nodes_per_map=50, seed=1)))
         graphs += [random_multigraph(rng, max_edges=10) for _ in range(30)]
-        library = [minimum_cycle_basis(g) for g in graphs]
-        monkeypatch.setattr(cycles, "_lifted_shortest_path", reference_lifted_shortest_path)
-        assert [minimum_cycle_basis(g) for g in graphs] == library
+        graphs += [
+            generate(spec)
+            for spec in suite_specs(tuple(range(10, 51, 5)), seed=1, scale=1 / 20)
+        ]
+        assert len(graphs) == 68
+        for g in graphs:
+            assert minimum_cycle_basis(g) == reference_minimum_cycle_basis(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=relabelled_multigraphs())
+    def test_same_ordered_basis_under_any_ids(self, g):
+        assert minimum_cycle_basis(g) == reference_minimum_cycle_basis(g)
+
+    def test_lifted_path_flags_a_revisited_vertex(self):
+        # edge 0 hangs node 0 off the triangle 1-2-3; with edges 0 and 1
+        # odd, the odd walk from node 0 crosses edge 0 twice and so visits
+        # node 1 twice, while the one from node 1 is the triangle itself
+        odd_edges = {0, 1}
+        lifted = [[] for _ in range(8)]
+        for eid, u, v in [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 1)]:
+            for a, b in ((u, v), (v, u)):
+                for p in (0, 1):
+                    lifted[2 * a + p].append((2 * b + (p ^ (eid in odd_edges)), eid))
+        assert _lifted_path(lifted, 0) == ([0, 1, 2, 3, 0], False)
+        assert _lifted_path(lifted, 2) == ([1, 2, 3], True)
 
 
 def _gf2_rank(masks):

@@ -14,6 +14,7 @@ from loopsieve.model import (
     CycleCapError,
     CycleFactor,
     ModelParams,
+    _popcounts,
     cycle_conditionals,
     factors_from_basis,
     log_likelihood_rows,
@@ -203,6 +204,15 @@ class TestCycleConditionals:
         assert batch.shape == (len(factors), 1 << k)
         assert np.array_equal(batch, stacked)
         assert np.array_equal(batch, reference)
+
+
+class TestPopcounts:
+    @pytest.mark.parametrize("k", range(13))
+    def test_counts_set_bits(self, k):
+        assert _popcounts(k).tolist() == [bin(i).count("1") for i in range(1 << k)]
+
+    def test_one_byte_per_entry(self):
+        assert _popcounts(20).nbytes == 2**20
 
 
 class TestCycleConditional:
