@@ -91,6 +91,8 @@ def mcb(graph_file: str) -> None:
 @_friendly_errors
 def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> None:
     """Run inference and print per-edge inlier probabilities as TSV."""
+    if trace_path is not None and method != "admm":
+        raise click.UsageError(f"--trace is admm only, not {method}")
     g = _load_graph(graph_file)
     params = _params_from(g, *params_deg)
     basis = minimum_cycle_basis(g)

@@ -1,10 +1,10 @@
 """Scalar and per-message reference implementations, for the tests only.
 
 The library computes with arrays: `model.log_likelihood_rows` is its one
-likelihood, `run_bp` updates messages in batches of equal cycle size,
-`run_admm` solves the cycle subproblems of equal size in one batch by
-semismooth Newton on their duals, and `exact_marginals` eliminates
-variables bucket by bucket. The functions here compute the same
+likelihood, `run_bp` updates messages in batches of equal cycle size, all
+excluded slots at once, `run_admm` solves the cycle subproblems of equal
+size in one batch by semismooth Newton on their duals, and
+`exact_marginals` eliminates variables bucket by bucket. The functions here compute the same
 quantities one scalar, one factor, one message or one full-length state
 array at a time, and solve ADMM's cycle subproblem in the primal by
 accelerated projected gradient; the tests compare the library against
@@ -482,6 +482,41 @@ def factor_beliefs(state: MessageState, fg: FactorGraph, params: ModelParams) ->
         b = np.exp(log_b - log_b.max())
         beliefs.append(b / b.sum())
     return beliefs
+
+
+def reference_count_convolution(incoming: np.ndarray, members) -> np.ndarray:
+    """Distribution of the outlier count among the given members of each
+    factor: incoming is (F, k, 2), the result (F, len(members) + 1)."""
+    poly = np.ones((incoming.shape[0], 1))
+    for member in members:
+        nxt = np.zeros((incoming.shape[0], poly.shape[1] + 1))
+        nxt[:, :-1] += poly * incoming[:, member, 0:1]
+        nxt[:, 1:] += poly * incoming[:, member, 1:2]
+        poly = nxt
+    return poly
+
+
+def reference_factor_messages(
+    to_factor: np.ndarray, rows: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Every factor-to-variable message of one k group, one excluded slot
+    at a time: the batched `infer_bp._factor_messages` must match it bit
+    for bit.
+
+    rows is the group's (F, k) incidence matrix and weights its (F, k + 1)
+    likelihood weights; out[r, j] is the message along incidence rows[r, j].
+    """
+    n_factors, k = rows.shape
+    incoming = to_factor[rows]
+    out = np.empty((n_factors, k, 2))
+    for j in range(k):
+        poly = reference_count_convolution(incoming, [m for m in range(k) if m != j])
+        # A stacked (1, k) @ (k, 1) product adds in the same order as the
+        # reference's 1-D dot, so each message is bit-identical.
+        stacked = poly[:, None, :]
+        out[:, j, 0] = (stacked @ weights[:, :k, None])[:, 0, 0]
+        out[:, j, 1] = (stacked @ weights[:, 1:, None])[:, 0, 0]
+    return out
 
 
 def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):

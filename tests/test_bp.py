@@ -13,7 +13,15 @@ from loopsieve.factorgraph import (
     build_factor_graph,
     exact_marginals,
 )
-from loopsieve.infer_bp import DEFAULT_DAMPING, MESSAGE_FLOOR, run_bp
+from loopsieve.infer_bp import (
+    DEFAULT_DAMPING,
+    MESSAGE_FLOOR,
+    _count_convolution,
+    _excluded_slots,
+    _factor_messages,
+    _normalize,
+    run_bp,
+)
 from loopsieve.model import DEFAULT_LC_CAP, CycleFactor, ModelParams
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.synth import SynthSpec, generate
@@ -28,6 +36,8 @@ from reference import (
     log_cycle_likelihood,
     prior_message,
     reference_bp,
+    reference_count_convolution,
+    reference_factor_messages,
     var_to_factor,
 )
 
@@ -184,6 +194,47 @@ class TestBatchedMatchesReference:
         result = run_bp(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping=damping)
         assert result.edge_marginals == {1: pytest.approx(0.3)}
         assert result.count_marginals.shape == (0,)
+
+
+class TestSlotBatchMatchesPerSlot:
+    """The slot-batched kernels against the per-slot loop, bit for bit."""
+
+    @staticmethod
+    def random_group(rng, n_factors, k):
+        # incidence rows in shuffled order, with one spare row that no
+        # factor reads, and per-factor weights rescaled by their maximum
+        n_inc = n_factors * k
+        to_factor = _normalize(rng.random((n_inc + 1, 2)))
+        rows = rng.permutation(n_inc).reshape(n_factors, k)
+        weights = np.exp(rng.normal(0.0, 3.0, (n_factors, k + 1)))
+        return to_factor, rows, weights / weights.max(axis=1, keepdims=True)
+
+    def test_excluded_slots(self):
+        rows = np.array([[7, 3, 5], [0, 1, 2]])
+        assert _excluded_slots(rows).tolist() == [
+            [[3, 5], [7, 5], [7, 3]],
+            [[1, 2], [0, 2], [0, 1]],
+        ]
+        assert _excluded_slots(rows[:, :1]).shape == (2, 1, 0)
+        assert _excluded_slots(rows[:, :1]).dtype == rows.dtype
+
+    @pytest.mark.parametrize("n_factors", [1, 3, 50])
+    @pytest.mark.parametrize("k", [*range(1, 13), 40])
+    def test_factor_messages(self, rng, n_factors, k):
+        to_factor, rows, weights = self.random_group(rng, n_factors, k)
+        batched = _factor_messages(to_factor, _excluded_slots(rows), weights)
+        assert np.array_equal(batched, reference_factor_messages(to_factor, rows, weights))
+
+    @pytest.mark.parametrize("n_factors", [1, 3, 50])
+    @pytest.mark.parametrize("k", [*range(0, 13), 40])
+    def test_count_convolution(self, rng, n_factors, k):
+        incoming = _normalize(rng.random((n_factors, k, 2)))
+        expected = reference_count_convolution(incoming, range(k))
+        assert np.array_equal(_count_convolution(incoming), expected)
+        # leading axes are batch axes: each (F, k, 2) slice convolves alone
+        stacked = _count_convolution(np.stack([incoming, incoming[::-1]]))
+        assert np.array_equal(stacked[0], expected)
+        assert np.array_equal(stacked[1], expected[::-1])
 
 
 class TestVarToFactor:

@@ -1,5 +1,6 @@
 import math
 
+import pytest
 from click.testing import CliRunner
 
 from conftest import loop_closure_ring
@@ -46,6 +47,19 @@ def test_infer_admm_trace(tmp_path):
     lines = trace_file.read_text().splitlines()
     assert lines[0] == "iter,r,t,rho,steps"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("method", ["bp", "exact"])
+def test_infer_trace_is_admm_only(tmp_path, method):
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    trace_file = tmp_path / "trace.csv"
+    result = CliRunner().invoke(
+        main,
+        ["infer", str(graph_file), "--method", method, "--trace", str(trace_file)],
+    )
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: --trace is admm only, not {method}"
+    assert not trace_file.exists()
 
 
 def test_infer_admm_trace_without_cycles(tmp_path):
