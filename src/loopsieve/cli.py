@@ -83,40 +83,44 @@ def mcb(graph_file: str) -> None:
 @click.option("--method", type=_METHOD, default="admm", show_default=True)
 @click.option("--params", "params_deg", nargs=2, type=float, default=(2.0, 20.0),
               show_default=True, help="sigma and sigma_bar in degrees.")
-@click.option("--rho0", type=float, default=1.0, show_default=True)
-@click.option("--max-iters", type=int, default=None, help="Iteration cap for the back-end.")
-@click.option("--tol", type=float, default=None, help="Convergence tolerance.")
+@click.option("--rho0", type=float, default=None,
+              help="Initial penalty (admm only)  [default: 1.0]")
+@click.option("--max-iters", type=int, default=None, help="Iteration cap (bp, admm).")
+@click.option("--tol", type=float, default=None, help="Convergence tolerance (bp, admm).")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write a per-iteration r,t,rho,steps CSV (admm only).")
 @_friendly_errors
 def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> None:
     """Run inference and print per-edge inlier probabilities as TSV."""
-    if trace_path is not None and method != "admm":
-        raise click.UsageError(f"--trace is admm only, not {method}")
+    for flag, value, users in (
+        ("--rho0", rho0, ("admm",)),
+        ("--max-iters", max_iters, ("bp", "admm")),
+        ("--tol", tol, ("bp", "admm")),
+        ("--trace", trace_path, ("admm",)),
+    ):
+        if value is not None and method not in users:
+            raise click.UsageError(f"{flag} is {' and '.join(users)} only, not {method}")
     g = _load_graph(graph_file)
     params = _params_from(g, *params_deg)
     basis = minimum_cycle_basis(g)
     fg = build_factor_graph(g, basis)
+    limits = {
+        name: value for name, value in (("max_iters", max_iters), ("tol", tol))
+        if value is not None
+    }
     method_enum = InferenceMethod(method)
-    admm_opts = AdmmOptions(
-        rho0=rho0,
-        max_iters=max_iters if max_iters is not None else AdmmOptions.max_iters,
-        tol=tol if tol is not None else AdmmOptions.tol,
-        record_trace=trace_path is not None,
-    )
     if method_enum is InferenceMethod.BP:
         from .infer_bp import run_bp
 
-        bp_kwargs = {}
-        if max_iters is not None:
-            bp_kwargs["max_iters"] = max_iters
-        if tol is not None:
-            bp_kwargs["tol"] = tol
-        result = run_bp(fg, params, **bp_kwargs)
+        result = run_bp(fg, params, **limits)
     elif method_enum is InferenceMethod.ADMM:
         from .infer_admm import run_admm
 
-        result = run_admm(fg, params, admm_opts)
+        if rho0 is not None:
+            limits["rho0"] = rho0
+        result = run_admm(
+            fg, params, AdmmOptions(**limits, record_trace=trace_path is not None)
+        )
         if trace_path is not None:
             lines = ["iter,r,t,rho,steps"]
             for row in result.trace:
@@ -196,14 +200,12 @@ def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_p
 @click.option("--method", type=_METHOD, default="exact", show_default=True)
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--freeze-priors", is_flag=True)
-@click.option("--psi/--no-psi", "use_psi", default=False, show_default=True,
-              help="Include the configuration-sum term in the objective.")
 @click.option("--params", "params_deg", nargs=2, type=float, default=(2.0, 20.0),
               show_default=True, help="Initial sigma and sigma_bar in degrees.")
 @click.option("-o", "output", type=click.Path(dir_okay=False), default=None,
               help="Write the trace CSV here instead of stdout.")
 @_friendly_errors
-def em(graph_file, method, rounds, freeze_priors, use_psi, params_deg, output) -> None:
+def em(graph_file, method, rounds, freeze_priors, params_deg, output) -> None:
     """Estimate noise scales and priors by EM; emits the round trace as CSV."""
     g = _load_graph(graph_file)
     basis = minimum_cycle_basis(g)
@@ -212,7 +214,6 @@ def em(graph_file, method, rounds, freeze_priors, use_psi, params_deg, output) -
         max_rounds=rounds,
         inference=InferenceMethod(method),
         freeze_priors=freeze_priors,
-        include_psi=use_psi,
     )
     params, trace, _ = run_em(fg, _params_from(g, *params_deg), cfg)
     lines = ["round,sigma_deg,sigma_bar_deg,q,data_log_likelihood,inference_converged"]

@@ -5,17 +5,17 @@ marginals from any inference back-end. The M-step sets each loop-closure
 prior to its inlier responsibility, and picks the (sigma, sigma_bar) grid
 pair maximizing the expected log-likelihood of the cycle errors. The
 expected likelihood of a cycle depends on its configuration only through
-the outlier count, so k + 1 terms per cycle suffice. The whole grid is
-scored as one table per M-step: log p(z | s) for every (cycle, s) row under
-every candidate pair, times the count marginals in the same row layout,
-with ties going to the first (smallest) pair.
+the outlier count, so k + 1 terms per cycle suffice. The grid is scored
+from one table built once per fit, since it depends only on the factors and
+the grid: log p(z | s) for every (cycle, s) row under every candidate pair.
+Each M-step weights it by that round's count marginals, which share its row
+layout, with ties going to the first (smallest) pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -27,12 +27,7 @@ from .factorgraph import (
 )
 from .infer_admm import run_admm
 from .infer_bp import run_bp
-from .model import (
-    CycleFactor,
-    ModelParams,
-    log_likelihood_rows,
-    log_psi_table,
-)
+from .model import ModelParams, log_likelihood_rows
 
 
 def default_sigma_grid() -> tuple[float, ...]:
@@ -53,12 +48,12 @@ LL_TOL = 1e-6
 class EmConfig:
     """Settings of one EM fit.
 
-    The (sigma, sigma_bar) M-step searches the two ascending grids. The fit
-    runs at most max_rounds rounds and stops early once Q improves by less
-    than LL_TOL. `inference` picks the E-step back-end, run with its
-    default settings (see :func:`e_step`). freeze_priors keeps the edge
-    priors fixed; include_psi adds the configuration-sum term to the
-    M-step objective.
+    The (sigma, sigma_bar) M-step searches the pairs of the two ascending
+    grids with sigma_bar > sigma; their likelihood table is built once per
+    fit and each round's M-step weights it. The fit runs at most max_rounds
+    rounds and stops early once Q improves by less than LL_TOL. `inference`
+    picks the E-step back-end, run with its default settings (see
+    :func:`e_step`). freeze_priors keeps the edge priors fixed.
     """
 
     sigma_grid: tuple[float, ...] = field(default_factory=default_sigma_grid)
@@ -66,11 +61,6 @@ class EmConfig:
     max_rounds: int = 20
     inference: InferenceMethod = InferenceMethod.EXACT
     freeze_priors: bool = False
-    # The configuration-sum normalizer depends on the parameters, so putting
-    # it in the M-step objective rewards shrinking it and drags sigma toward
-    # the grid edge (measured: recovery drifts 2-3 grid steps). Off by
-    # default; include_psi=True restores the term for comparison.
-    include_psi: bool = False
 
     def __post_init__(self) -> None:
         for name, grid in (("sigma_grid", self.sigma_grid), ("sigma_bar_grid", self.sigma_bar_grid)):
@@ -80,10 +70,19 @@ class EmConfig:
                 raise ValueError(f"{name} entries must be positive")
             if list(grid) != sorted(grid):
                 raise ValueError(f"{name} must be sorted ascending")
-        if not any(
-            sb > s for s in self.sigma_grid for sb in self.sigma_bar_grid
-        ):
+        if not self.pairs:
             raise ValueError("no (sigma, sigma_bar) grid pair satisfies sigma_bar > sigma")
+
+    @property
+    def pairs(self) -> list[tuple[float, float]]:
+        """The candidate (sigma, sigma_bar) pairs, sigma_bar > sigma, in grid
+        order: sigma outer, sigma_bar inner."""
+        return [
+            (sigma, sigma_bar)
+            for sigma in self.sigma_grid
+            for sigma_bar in self.sigma_bar_grid
+            if sigma_bar > sigma
+        ]
 
 
 @dataclass(frozen=True)
@@ -130,51 +129,33 @@ def m_step_priors(
     }
 
 
-def expected_log_likelihoods(
-    factors: Sequence[CycleFactor],
-    count_marginals: np.ndarray,
-    pairs: Sequence[tuple[float, float]],
-    include_psi: bool,
-) -> np.ndarray:
-    """Expected log-likelihood of all cycles under each (sigma, sigma_bar)
-    pair: one weighted sum of its row of log_likelihood_rows, weighted by
-    the count marginals, which share its row layout."""
-    table = log_likelihood_rows(factors, pairs)
-    # a row-wise sum, so that equal rows score equal and ties stay ties
-    values = (table * count_marginals).sum(axis=1)
-    if include_psi:
-        values -= log_psi_table(factors, table).sum(axis=1)
-    return values
-
-
 def m_step_sigmas(
     count_marginals: np.ndarray,
-    factors: Sequence[CycleFactor],
-    cfg: EmConfig,
-) -> tuple[float, float]:
+    table: np.ndarray,
+    pairs: list[tuple[float, float]],
+) -> tuple[tuple[float, float], float]:
     """Grid-search the noise scales; ties break toward smaller values.
 
-    Only pairs with sigma_bar > sigma are candidates; with no factors the
-    first candidate wins.
+    `table` is log_likelihood_rows(factors, pairs). Returns the winning
+    pair and its expected cycle log-likelihood; with no factors the first
+    pair wins.
     """
-    pairs = [
-        (sigma, sigma_bar)
-        for sigma in cfg.sigma_grid
-        for sigma_bar in cfg.sigma_bar_grid
-        if sigma_bar > sigma
-    ]
-    values = expected_log_likelihoods(factors, count_marginals, pairs, cfg.include_psi)
-    return pairs[int(np.argmax(values))]
+    # a row-wise sum, so that equal rows score equal and ties stay ties
+    best = int(np.argmax((table * count_marginals).sum(axis=1)))
+    # the winning row summed on its own, as a one-pair table would be: the
+    # table is not C-contiguous, so its row sums can differ in the last bit
+    return pairs[best], float((table[best] * count_marginals).sum())
 
 
 def q_value(
     fg: FactorGraph,
     responsibilities: InferenceResult,
     params: ModelParams,
-    cfg: EmConfig,
+    cycle_term: float,
 ) -> float:
     """Expected complete-data log-likelihood of `params` under the given
-    responsibilities."""
+    responsibilities: the edge-prior terms plus `cycle_term`, the expected
+    cycle log-likelihood that :func:`m_step_sigmas` returned."""
     total = 0.0
     for eid in fg.variables:
         gamma = responsibilities.edge_marginals[eid]
@@ -183,13 +164,7 @@ def q_value(
             total += gamma * (math.log(pi) if pi > 0 else -math.inf)
         if gamma < 1.0:
             total += (1.0 - gamma) * (math.log1p(-pi) if pi < 1 else -math.inf)
-    cycles = expected_log_likelihoods(
-        fg.factors,
-        responsibilities.count_marginals,
-        [(params.sigma, params.sigma_bar)],
-        cfg.include_psi,
-    )
-    return total + float(cycles[0])
+    return total + cycle_term
 
 
 def run_em(
@@ -205,33 +180,30 @@ def run_em(
     parameters.
     """
     cfg = cfg or EmConfig()
+    pairs = cfg.pairs
+    table = log_likelihood_rows(fg.factors, pairs)
     params = init
     rounds: list[EmRound] = []
     previous_q: float | None = None
     for round_index in range(1, cfg.max_rounds + 1):
         responsibilities = e_step(fg, params, cfg.inference)
-        # log_evidence is NaN unless the E-step is exact
-        data_ll = responsibilities.log_evidence
-        if cfg.include_psi and cfg.inference is InferenceMethod.EXACT:
-            table = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])
-            data_ll -= float(log_psi_table(fg.factors, table).sum())
         priors = (
             dict(params.priors)
             if cfg.freeze_priors
             else m_step_priors(responsibilities.edge_marginals, params)
         )
-        sigma, sigma_bar = m_step_sigmas(
-            responsibilities.count_marginals, fg.factors, cfg
+        (sigma, sigma_bar), cycle_term = m_step_sigmas(
+            responsibilities.count_marginals, table, pairs
         )
         params = ModelParams(sigma, sigma_bar, priors)
-        q = q_value(fg, responsibilities, params, cfg)
+        q = q_value(fg, responsibilities, params, cycle_term)
         rounds.append(
             EmRound(
                 round_index,
                 sigma,
                 sigma_bar,
                 q,
-                data_ll,
+                responsibilities.log_evidence,
                 responsibilities.converged,
             )
         )

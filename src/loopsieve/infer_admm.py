@@ -39,16 +39,17 @@ with its convergence guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult
 from .model import (
-    DEFAULT_LC_CAP,
-    CycleCapError,
+    CycleFactor,
     ModelParams,
     _popcounts,
-    cycle_conditionals,
+    log_likelihood_rows,
+    log_prior_vector,
 )
 
 
@@ -71,6 +72,20 @@ RHO_FREEZE_AFTER = 100
 NEWTON_MAX_STEPS = 500
 ARMIJO_FRACTION = 1e-4
 EPS = float(np.finfo(float).eps)
+# run_admm refuses cycles with more loop-closure members than this: each
+# v_c has 2^k entries.
+DEFAULT_LC_CAP = 16
+
+
+class CycleCapError(ValueError):
+    """Cycle has too many loop-closure members for a 2^k state space."""
+
+    def __init__(self, cycle_id: int, size: int):
+        super().__init__(
+            f"cycle {cycle_id} has {size} loop-closure members, over the cap of "
+            f"{DEFAULT_LC_CAP}: each cycle's configuration table has 2^k entries"
+        )
+        self.cycle_id = cycle_id
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,29 @@ def marginalization_matrix(k: int) -> np.ndarray:
     for j in range(k):
         rows[j, ((masks >> j) & 1) == 0] = 1.0
     return rows
+
+
+def cycle_conditionals(factors: Sequence[CycleFactor], params: ModelParams) -> np.ndarray:
+    """Posterior over each cycle's own configurations given its error
+    alone, for factors that share their member count k: shape
+    (factors, 2^k), one row each.
+
+    p(mask) is proportional to p(z | popcount(mask)) times the member priors.
+    """
+    k = len(factors[0].lc_members)
+    if k == 0:
+        raise ValueError(f"cycle {factors[0].cycle_id} has no loop-closure members")
+    table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
+    log_p = table.reshape(len(factors), k + 1)[:, _popcounts(k)]
+    priors = np.array([[params.prior(eid) for eid in f.lc_members] for f in factors])
+    log_in, log_out = log_prior_vector(priors)
+    masks = np.arange(1 << k)
+    for j in range(k):
+        bit = (masks >> j) & 1
+        log_p = log_p + np.where(bit == 1, log_out[:, j, None], log_in[:, j, None])
+    log_p -= np.max(log_p, axis=1, keepdims=True)
+    p = np.exp(log_p)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def _project_rows(matrix: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ posterior as the k + 1 marginals of its outlier count, and EM weights the
 rows of :func:`log_likelihood_rows` by them.
 
 :func:`log_likelihood_rows` is the library's single density: BP's message
-weights, exact elimination, the cycle conditionals that ADMM starts from,
-log psi and the EM objective all read it.
+weights, exact elimination, the cycle conditionals that ADMM starts from
+and the EM objective all read it.
 """
 
 from __future__ import annotations
@@ -28,20 +28,7 @@ import numpy as np
 from .cycles import CycleBasis, cycle_error
 from .graph import EdgeKind, PoseGraph
 
-DEFAULT_LC_CAP = 16
-
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
-
-
-class CycleCapError(ValueError):
-    """Cycle has too many loop-closure members for a 2^k state space."""
-
-    def __init__(self, cycle_id: int, size: int):
-        super().__init__(
-            f"cycle {cycle_id} has {size} loop-closure members, over the cap of "
-            f"{DEFAULT_LC_CAP}: each cycle's configuration table has 2^k entries"
-        )
-        self.cycle_id = cycle_id
 
 
 @dataclass(frozen=True)
@@ -148,52 +135,11 @@ def log_likelihood_rows(
     return scale[:, rows] - np.array(z_squared) / denom[:, rows] - log_mass[:, rows]
 
 
-def log_psi_table(factors: Sequence[CycleFactor], table: np.ndarray) -> np.ndarray:
-    """log psi of each factor under each pair, from the rows that
-    log_likelihood_rows(factors, pairs) returned: shape (pairs, factors)."""
-    log_binom = np.array([
-        math.lgamma(k + 1) - math.lgamma(s + 1) - math.lgamma(k - s + 1)
-        for k in (len(f.lc_members) for f in factors)
-        for s in range(k + 1)
-    ])
-    sizes = np.array([len(f.lc_members) + 1 for f in factors], dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    terms = table + log_binom
-    peak = np.maximum.reduceat(terms, starts, axis=1)
-    total = np.add.reduceat(np.exp(terms - np.repeat(peak, sizes, axis=1)), starts, axis=1)
-    return peak + np.log(total)
-
-
 def log_prior_vector(member_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log pi, log pi_bar) with -inf where a prior is exactly 0 or 1."""
     pri = np.asarray(member_priors, dtype=float)
     with np.errstate(divide="ignore"):
         return np.log(pri), np.log1p(-pri)
-
-
-def cycle_conditionals(factors: Sequence[CycleFactor], params: ModelParams) -> np.ndarray:
-    """Posterior over each cycle's own configurations given its error
-    alone, for factors that share their member count k: shape
-    (factors, 2^k), one row each.
-
-    p(mask) is proportional to p(z | popcount(mask)) times the member priors.
-    """
-    k = len(factors[0].lc_members)
-    if k == 0:
-        raise ValueError(f"cycle {factors[0].cycle_id} has no loop-closure members")
-    if k > DEFAULT_LC_CAP:
-        raise CycleCapError(factors[0].cycle_id, k)
-    table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
-    log_p = table.reshape(len(factors), k + 1)[:, _popcounts(k)]
-    priors = np.array([[params.prior(eid) for eid in f.lc_members] for f in factors])
-    log_in, log_out = log_prior_vector(priors)
-    masks = np.arange(1 << k)
-    for j in range(k):
-        bit = (masks >> j) & 1
-        log_p = log_p + np.where(bit == 1, log_out[:, j, None], log_in[:, j, None])
-    log_p -= np.max(log_p, axis=1, keepdims=True)
-    p = np.exp(log_p)
-    return p / p.sum(axis=1, keepdims=True)
 
 
 def factors_from_basis(g: PoseGraph, basis: CycleBasis) -> tuple[CycleFactor, ...]:

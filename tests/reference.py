@@ -31,17 +31,15 @@ import numpy as np
 from loopsieve.cycles import Cycle, CycleBasis, _orient_cycle, _split_into_simple_cycles
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
-from loopsieve.infer_admm import _project_rows, marginalization_matrix
+from loopsieve.infer_admm import _project_rows, cycle_conditionals, marginalization_matrix
 from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
 from loopsieve.model import (
     CycleFactor,
     ModelParams,
     _std,
-    cycle_conditionals,
     factors_from_basis,
     log_likelihood_rows,
     log_prior_vector,
-    log_psi_table,
     truncated_gaussian_mass,
 )
 
@@ -71,16 +69,6 @@ def log_likelihood_table(factor: CycleFactor, params: ModelParams) -> np.ndarray
     """log p(z | s) for s = 0 .. k."""
     k = len(factor.lc_members)
     return np.array([log_cycle_likelihood(factor, s, params) for s in range(k + 1)])
-
-
-def log_psi(factor: CycleFactor, params: ModelParams) -> float:
-    """Log of the configuration-sum normalizer: sum_s C(k, s) p(z | s).
-
-    Constant per cycle for fixed parameters, so it never enters inference;
-    it matters only when comparing parameter values in the EM objective.
-    """
-    table = log_likelihood_rows((factor,), [(params.sigma, params.sigma_bar)])
-    return float(log_psi_table((factor,), table)[0, 0])
 
 
 def cycle_conditional(factor: CycleFactor, params: ModelParams) -> np.ndarray:

@@ -11,14 +11,16 @@ from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_marginals
 from loopsieve import infer_admm
 from loopsieve.infer_admm import (
+    DEFAULT_LC_CAP,
     AdmmOptions,
+    CycleCapError,
     _solve_batch,
     consensus_step,
     marginalization_matrix,
     run_admm,
     update_rho,
 )
-from loopsieve.model import DEFAULT_LC_CAP, CycleCapError, CycleFactor, ModelParams
+from loopsieve.model import CycleFactor, ModelParams
 from loopsieve.synth import SynthSpec, generate
 from reference import (
     cycle_conditional,

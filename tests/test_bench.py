@@ -15,7 +15,8 @@ from loopsieve.bench import (
 )
 from loopsieve.factorgraph import InferenceMethod
 from loopsieve.graph import Edge, EdgeKind, PoseGraph, TruthLabel, loop_closure_edges
-from loopsieve.model import DEFAULT_LC_CAP, ModelParams
+from loopsieve.infer_admm import DEFAULT_LC_CAP
+from loopsieve.model import ModelParams
 from loopsieve.synth import SynthSpec, generate
 
 MID_IN = math.radians(2.0)

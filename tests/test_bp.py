@@ -22,7 +22,8 @@ from loopsieve.infer_bp import (
     _normalize,
     run_bp,
 )
-from loopsieve.model import DEFAULT_LC_CAP, CycleFactor, ModelParams
+from loopsieve.infer_admm import DEFAULT_LC_CAP
+from loopsieve.model import CycleFactor, ModelParams
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.synth import SynthSpec, generate
 from reference import (

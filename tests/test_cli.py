@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from conftest import loop_closure_ring
 from loopsieve.cli import main
 from loopsieve.graph import graph_to_text
-from loopsieve.model import DEFAULT_LC_CAP
+from loopsieve.infer_admm import DEFAULT_LC_CAP
 from loopsieve.synth import SynthSpec, generate
 
 
@@ -49,16 +49,28 @@ def test_infer_admm_trace(tmp_path):
     assert len(lines) > 1
 
 
-@pytest.mark.parametrize("method", ["bp", "exact"])
-def test_infer_trace_is_admm_only(tmp_path, method):
+@pytest.mark.parametrize(
+    "method, option, users",
+    [
+        pytest.param("bp", "--trace", "admm", id="bp"),
+        pytest.param("exact", "--trace", "admm", id="exact"),
+        pytest.param("bp", "--rho0", "admm", id="bp-rho0"),
+        pytest.param("exact", "--rho0", "admm", id="exact-rho0"),
+        pytest.param("exact", "--max-iters", "bp and admm", id="exact-max-iters"),
+        pytest.param("exact", "--tol", "bp and admm", id="exact-tol"),
+    ],
+)
+def test_infer_trace_is_admm_only(tmp_path, method, option, users):
+    # an option the back-end does not read is refused, even at its default
     graph_file = write_small_graph(tmp_path / "g.pgraph")
     trace_file = tmp_path / "trace.csv"
+    value = {"--trace": str(trace_file), "--rho0": "1.0", "--max-iters": "10", "--tol": "1e-3"}
     result = CliRunner().invoke(
         main,
-        ["infer", str(graph_file), "--method", method, "--trace", str(trace_file)],
+        ["infer", str(graph_file), "--method", method, option, value[option]],
     )
     assert result.exit_code == 2
-    assert result.output.splitlines()[-1] == f"Error: --trace is admm only, not {method}"
+    assert result.output.splitlines()[-1] == f"Error: {option} is {users} only, not {method}"
     assert not trace_file.exists()
 
 

@@ -25,13 +25,12 @@ from loopsieve.factorgraph import (
     exact_marginals,
 )
 from loopsieve.graph import EdgeKind
-from loopsieve.model import CycleFactor, ModelParams
+from loopsieve.model import CycleFactor, ModelParams, log_likelihood_rows
 from reference import (
     cycle_conditional,
     fold_by_count,
     inlier_marginal,
     log_cycle_likelihood,
-    log_psi,
 )
 
 SIGMA_TRUE = math.radians(2.0)
@@ -42,21 +41,28 @@ def lc_priors(g, value=0.5):
     return {e.id: value for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
 
 
-def expected_cycle_term(factor, count_marginals, params, include_psi=True):
+def expected_cycle_term(factor, count_marginals, params):
     """Scalar reference: expected log-likelihood of one cycle under its
     count responsibilities."""
     total = 0.0
     for s, weight in enumerate(count_marginals):
         if weight > 0.0:
             total += float(weight) * log_cycle_likelihood(factor, s, params)
-    if include_psi:
-        total -= log_psi(factor, params)
     return total
+
+
+def m_step(count_marginals, factors, cfg, c_contiguous=False):
+    """The library's grid M-step on the table that run_em builds for `cfg`,
+    or on a C-contiguous copy of it: ((sigma, sigma_bar), cycle term)."""
+    table = log_likelihood_rows(factors, cfg.pairs)
+    if c_contiguous:
+        table = np.ascontiguousarray(table)
+    return m_step_sigmas(count_marginals, table, cfg.pairs)
 
 
 def reference_m_step_sigmas(count_marginals, factors, cfg):
     """Scalar reference of the grid M-step: the first pair with the
-    largest objective wins."""
+    largest objective wins. Returns the pair and its objective."""
     starts = np.cumsum([0] + [len(f.lc_members) + 1 for f in factors])
     count_margs = [count_marginals[a:b] for a, b in zip(starts[:-1], starts[1:])]
     best = None
@@ -67,13 +73,13 @@ def reference_m_step_sigmas(count_marginals, factors, cfg):
                 continue
             candidate = ModelParams(sigma, sigma_bar)
             value = sum(
-                expected_cycle_term(f, qc, candidate, cfg.include_psi)
+                expected_cycle_term(f, qc, candidate)
                 for f, qc in zip(factors, count_margs)
             )
             if value > best_value:
                 best_value = value
                 best = (sigma, sigma_bar)
-    return best
+    return best, best_value
 
 
 def random_factors_and_counts(rng, n_factors):
@@ -187,7 +193,7 @@ class TestMStepSigmas:
         f = CycleFactor(0, (0, 1), 0, 0.1)
         counts = fold_by_count([cycle_conditional(f, uniform_params((0, 1)))])
         cfg = EmConfig(sigma_grid=(0.02,), sigma_bar_grid=(0.25,))
-        assert m_step_sigmas(counts, (f,), cfg) == (0.02, 0.25)
+        assert m_step(counts, (f,), cfg)[0] == (0.02, 0.25)
 
     def test_sigma_tracks_small_consistent_errors(self):
         # 1-D sweep oracle: with responsibility frozen на all-inlier, the
@@ -198,10 +204,10 @@ class TestMStepSigmas:
         all_inlier = np.array([1.0, 0.0, 0.0])
         grid = tuple(np.linspace(0.005, 0.12, 60))
         cfg = EmConfig(sigma_grid=grid, sigma_bar_grid=(0.5,))
-        sigma, _ = m_step_sigmas(all_inlier, (f,), cfg)
+        (sigma, _), _ = m_step(all_inlier, (f,), cfg)
         # 1-D sweep oracle over the closed-form objective
         dense = [
-            expected_cycle_term(f, all_inlier, ModelParams(s, 0.5), False)
+            expected_cycle_term(f, all_inlier, ModelParams(s, 0.5))
             for s in grid
         ]
         assert sigma == grid[int(np.argmax(dense))]
@@ -216,9 +222,9 @@ class TestMStepSigmas:
         for z in (0.25, 0.45, 0.8):
             f = CycleFactor(0, (0,), 3, z)
             cfg = EmConfig(sigma_grid=(0.02,), sigma_bar_grid=bar_grid)
-            _, sigma_bar = m_step_sigmas(one_outlier, (f,), cfg)
+            (_, sigma_bar), _ = m_step(one_outlier, (f,), cfg)
             dense = [
-                expected_cycle_term(f, one_outlier, ModelParams(0.02, sb), False)
+                expected_cycle_term(f, one_outlier, ModelParams(0.02, sb))
                 for sb in bar_grid
             ]
             assert sigma_bar == bar_grid[int(np.argmax(dense))]
@@ -233,7 +239,7 @@ class TestMStepSigmas:
         f = CycleFactor(0, (0,), 0, 0.1)
         counts = np.array([0.5, 0.5])
         cfg = EmConfig(sigma_grid=(0.02, 0.02), sigma_bar_grid=(0.3, 0.3))
-        assert m_step_sigmas(counts, (f,), cfg) == (0.02, 0.3)
+        assert m_step(counts, (f,), cfg)[0] == (0.02, 0.3)
 
     def test_count_marginal_equals_naive_mask_sum(self, rng):
         # the objective folded to outlier counts must equal the full 2^k sum
@@ -244,9 +250,7 @@ class TestMStepSigmas:
             f = CycleFactor(0, tuple(range(k)), 1, float(rng.uniform(0, 1)))
             belief = cycle_conditional(f, p)
             candidate = ModelParams(0.03, 0.25)
-            folded = expected_cycle_term(
-                f, fold_by_count([belief]), candidate, include_psi=False
-            )
+            folded = expected_cycle_term(f, fold_by_count([belief]), candidate)
             naive = sum(
                 belief[mask]
                 * log_cycle_likelihood(f, bin(mask).count("1"), candidate)
@@ -254,40 +258,47 @@ class TestMStepSigmas:
             )
             assert folded == pytest.approx(naive, abs=1e-10)
 
-    @pytest.mark.parametrize("include_psi", [False, True])
-    def test_matches_reference_on_random_beliefs(self, rng, include_psi):
-        cfg = EmConfig(include_psi=include_psi)
+    # run_em's table is not C-contiguous; the M-step must not depend on
+    # the table's memory layout
+    @pytest.mark.parametrize("c_contiguous", [False, True])
+    def test_matches_reference_on_random_beliefs(self, rng, c_contiguous):
+        cfg = EmConfig()
         for n_factors in (1, 3, 12, 30):
             factors, counts = random_factors_and_counts(rng, n_factors)
-            assert m_step_sigmas(counts, factors, cfg) == reference_m_step_sigmas(
-                counts, factors, cfg
-            )
+            pair, cycle_term = m_step(counts, factors, cfg, c_contiguous)
+            expected_pair, expected_term = reference_m_step_sigmas(counts, factors, cfg)
+            assert pair == expected_pair
+            assert cycle_term == pytest.approx(expected_term, rel=1e-12)
+            # bit for bit the sum of a one-pair table, as the q value was
+            # computed before the table was shared across rounds
+            one_pair = log_likelihood_rows(factors, [pair])
+            assert cycle_term == float((one_pair * counts).sum(axis=1)[0])
 
-    @pytest.mark.parametrize("include_psi", [False, True])
-    def test_flat_objective_keeps_first_pair(self, rng, include_psi):
+    @pytest.mark.parametrize("c_contiguous", [False, True])
+    def test_flat_objective_keeps_first_pair(self, rng, c_contiguous):
         # equal grid values as distinct objects score equal; the first of
         # the tied pairs must win, as in the scalar loop
         sigmas = tuple(float(np.float64(0.02)) for _ in range(3))
         bars = tuple(float(np.float64(0.3)) for _ in range(2))
-        cfg = EmConfig(sigma_grid=sigmas, sigma_bar_grid=bars, include_psi=include_psi)
+        cfg = EmConfig(sigma_grid=sigmas, sigma_bar_grid=bars)
         factors, counts = random_factors_and_counts(rng, 7)
-        got = m_step_sigmas(counts, factors, cfg)
-        expected = reference_m_step_sigmas(counts, factors, cfg)
+        got, _ = m_step(counts, factors, cfg, c_contiguous)
+        expected, _ = reference_m_step_sigmas(counts, factors, cfg)
         assert got[0] is expected[0] is sigmas[0]
         assert got[1] is expected[1] is bars[0]
 
-    @pytest.mark.parametrize("include_psi", [False, True])
-    def test_no_factors_gives_first_pair(self, include_psi):
-        cfg = EmConfig(include_psi=include_psi)
+    @pytest.mark.parametrize("c_contiguous", [False, True])
+    def test_no_factors_gives_first_pair(self, c_contiguous):
+        cfg = EmConfig()
         expected = (cfg.sigma_grid[0], cfg.sigma_bar_grid[0])
-        assert m_step_sigmas(np.zeros(0), (), cfg) == expected
-        assert reference_m_step_sigmas(np.zeros(0), (), cfg) == expected
+        assert m_step(np.zeros(0), (), cfg, c_contiguous) == (expected, 0.0)
+        assert reference_m_step_sigmas(np.zeros(0), (), cfg)[0] == expected
 
     def test_respects_sigma_bar_gt_sigma(self):
         f = CycleFactor(0, (0,), 0, 0.1)
         counts = np.array([0.5, 0.5])
         cfg = EmConfig(sigma_grid=(0.01, 0.3), sigma_bar_grid=(0.2,))
-        sigma, sigma_bar = m_step_sigmas(counts, (f,), cfg)
+        (sigma, sigma_bar), _ = m_step(counts, (f,), cfg)
         assert sigma_bar > sigma
 
 
@@ -360,11 +371,12 @@ class TestRunEm:
             assert params.sigma_bar > params.sigma
 
     def test_admm_fit_reaches_module_globals(self, monkeypatch):
-        # run_em must look e_step and run_admm up in loopsieve.em at call
-        # time, so that wrappers installed there see every call
+        # run_em must look e_step, m_step_sigmas, q_value and run_admm up
+        # in loopsieve.em at call time, so that wrappers installed there
+        # see every call
         import loopsieve.em as em
 
-        calls = {"e_step": 0, "run_admm": 0}
+        calls = {"e_step": 0, "m_step_sigmas": 0, "q_value": 0, "run_admm": 0}
 
         def counting(name):
             original = getattr(em, name)
@@ -375,8 +387,8 @@ class TestRunEm:
 
             monkeypatch.setattr(em, name, wrapper)
 
-        counting("e_step")
-        counting("run_admm")
+        for name in calls:
+            counting(name)
         g = gaussian_model_graph(8, 2, 6, SIGMA_TRUE, SIGMA_BAR_TRUE, seed=5)
         fg = build_factor_graph(g, minimum_cycle_basis(g))
         init = ModelParams(math.radians(3), math.radians(25), lc_priors(g))
@@ -385,16 +397,25 @@ class TestRunEm:
         # one E-step per round plus the final one under the fitted params
         assert calls["e_step"] == len(trace.rounds) + 1
         assert calls["run_admm"] == calls["e_step"]
+        assert calls["m_step_sigmas"] == calls["q_value"] == len(trace.rounds)
 
-    def test_monotone_likelihood_with_psi_included(self):
-        # the printed objective variant must still be monotone (generalized
-        # EM), even though its sigma estimates drift
-        fg, priors = self.build_pooled(master=0, n_graphs=2)
-        init = ModelParams(math.radians(2), math.radians(20), priors)
-        cfg = EmConfig(max_rounds=8, inference=InferenceMethod.EXACT, include_psi=True)
-        _, trace, _ = run_em(fg, init, cfg)
-        lls = [r.data_log_likelihood for r in trace.rounds]
-        assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    def test_likelihood_table_built_once_per_fit(self, monkeypatch, method):
+        import loopsieve.em as em
+
+        calls = []
+        original = em.log_likelihood_rows
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(em, "log_likelihood_rows", counting)
+        fg, priors = self.build_pooled(master=2, n_graphs=2)
+        init = ModelParams(math.radians(4), math.radians(30), priors)
+        _, trace, _ = run_em(fg, init, EmConfig(max_rounds=5, inference=method))
+        assert len(trace.rounds) > 1
+        assert len(calls) == 1
 
     def test_exact_fit_enumerates_once_per_round(self, monkeypatch):
         # the data log-likelihood comes from the E-step's own enumeration:
@@ -411,13 +432,11 @@ class TestRunEm:
         monkeypatch.setattr(em, "exact_marginals", counting)
         fg, priors = self.build_pooled(master=2, n_graphs=2)
         init = ModelParams(math.radians(4), math.radians(30), priors)
-        for include_psi in (False, True):
-            calls.clear()
-            cfg = EmConfig(max_rounds=5, inference=InferenceMethod.EXACT, include_psi=include_psi)
-            _, trace, _ = run_em(fg, init, cfg)
-            assert len(calls) == len(trace.rounds) + 1
-            for r in trace.rounds:
-                assert math.isfinite(r.data_log_likelihood)
+        cfg = EmConfig(max_rounds=5, inference=InferenceMethod.EXACT)
+        _, trace, _ = run_em(fg, init, cfg)
+        assert len(calls) == len(trace.rounds) + 1
+        for r in trace.rounds:
+            assert math.isfinite(r.data_log_likelihood)
 
     @pytest.mark.parametrize("method", list(InferenceMethod))
     @pytest.mark.parametrize("fg", [FactorGraph((1,), ()), FactorGraph((), ())])
@@ -428,7 +447,3 @@ class TestRunEm:
         assert (params.sigma, params.sigma_bar) == (math.radians(0.5), math.radians(5.0))
         assert len(trace.rounds) >= 1
         assert final.count_marginals.shape == (0,)
-
-    def test_psi_value_is_finite(self):
-        f = CycleFactor(0, (0, 1, 2), 2, 0.4)
-        assert math.isfinite(log_psi(f, ModelParams(0.03, 0.3)))

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 from conftest import make_graph, uniform_params
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.graph import EdgeKind
+from loopsieve.infer_admm import cycle_conditionals
 from loopsieve.model import (
-    DEFAULT_LC_CAP,
-    CycleCapError,
     CycleFactor,
     ModelParams,
     _popcounts,
-    cycle_conditionals,
     factors_from_basis,
     log_likelihood_rows,
     log_prior_vector,
@@ -28,7 +26,6 @@ from reference import (
     inlier_marginal,
     joint_log_density,
     log_cycle_likelihood,
-    log_psi,
     mixture_std,
 )
 
@@ -258,12 +255,6 @@ class TestCycleConditional:
             remapped = ((mask >> 1) & 0b11) | ((mask & 1) << 2)
             assert d_g[mask] == pytest.approx(d_f[remapped], abs=1e-12)
 
-    def test_cap_enforced(self):
-        n = DEFAULT_LC_CAP + 1
-        f = CycleFactor(7, tuple(range(n)), 0, 0.1)
-        with pytest.raises(CycleCapError, match=f"cycle 7 has {n} loop-closure members"):
-            cycle_conditional(f, uniform_params(range(n)))
-
     def test_posterior_mass_on_all_inlier_decreases_with_z(self):
         p = uniform_params((0, 1))
         masses = []
@@ -274,10 +265,9 @@ class TestCycleConditional:
 
     def test_scale_invariance_of_distribution(self):
         # dropping any constant per-cycle factor cannot change the result,
-        # since the distribution normalizes; psi is such a constant
+        # since the distribution normalizes
         p = uniform_params((0, 1, 2))
         f = CycleFactor(0, (0, 1, 2), 1, 0.3)
-        assert math.isfinite(log_psi(f, p))
         d = cycle_conditional(f, p)
         assert d.sum() == pytest.approx(1.0)
 
@@ -344,13 +334,3 @@ class TestJointLogDensity:
         basis = minimum_cycle_basis(g)
         with pytest.raises(ValueError, match="missing"):
             joint_log_density(g, basis, {0: 0, 1: 0}, uniform_params(range(3)))
-
-
-class TestPsi:
-    def test_matches_direct_sum(self):
-        p = ModelParams(0.03, 0.3)
-        f = CycleFactor(0, (0, 1, 2), 2, 0.25)
-        direct = sum(
-            math.comb(3, s) * math.exp(log_cycle_likelihood(f, s, p)) for s in range(4)
-        )
-        assert log_psi(f, p) == pytest.approx(math.log(direct), abs=1e-10)
