@@ -17,6 +17,7 @@ is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -157,6 +158,15 @@ class InferenceResult:
     converged: bool
     iterations: int
     log_evidence: float = float("nan")
+
+
+def check_iteration_limits(max_iters: int, tol: float) -> None:
+    """Refuse stopping limits under which an iterative back-end cannot run:
+    max_iters below 1, or a tol that is negative or not finite."""
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
 
 
 def build_factor_graph(g: PoseGraph, basis: CycleBasis) -> FactorGraph:

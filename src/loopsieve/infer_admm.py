@@ -34,16 +34,25 @@ opposite case, and stays within [1e-4, 1e4]. y is the unscaled dual and
 is kept when rho changes; only a scaled dual u = y / rho would need
 rescaling (section 3.4.1). After that rho is fixed, which is plain ADMM
 with its convergence guarantee.
+
+The consensus step is over-relaxed (Boyd et al. 2011, section 3.4.3): the
+w-update and the dual step read x_hat_c = RELAXATION * P_c v_c +
+(1 - RELAXATION) * w_c^prev in place of P_c v_c. For any RELAXATION in
+(0, 2) this keeps the fixed point and the convergence guarantee of plain
+ADMM (Eckstein & Bertsekas, Math. Programming 55, 1992), and at 1.7 it
+takes about a third fewer iterations on the synth suites. The primal
+residual stays sum_c ||P_c v_c - w_c||^2 on the unrelaxed marginals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .factorgraph import FactorGraph, InferenceResult
+from .factorgraph import FactorGraph, InferenceResult, check_iteration_limits
 from .model import (
     CycleFactor,
     ModelParams,
@@ -63,11 +72,16 @@ RHO_MAX = 1e4
 # Adapting rho forever can limit-cycle near the solution; after this many
 # iterations the penalty stays fixed, restoring plain (convergent) ADMM.
 RHO_FREEZE_AFTER = 100
+# Over-relaxation of the consensus step (Boyd et al. 2011, section 3.4.3);
+# any value in (0, 2) keeps ADMM's convergence (Eckstein & Bertsekas 1992),
+# and 1 is plain ADMM.
+RELAXATION = 1.7
 # The cycle subproblems' Newton solver (see _solve_batch) raises when rows
 # are still unsolved after NEWTON_MAX_STEPS steps; its line search accepts a
 # step t along the Newton direction once g gains ARMIJO_FRACTION * t times
 # its initial slope along that direction.
-# Warm-started from the previous iteration, a batch takes 1-5 steps; cold
+# Warm-started from the previous iteration, a batch takes 1-6 steps on the
+# synth suites, and an iteration at most 8 summed over its groups; cold
 # starts at rho = 1e4 can take over a hundred at k = 5.
 NEWTON_MAX_STEPS = 500
 ARMIJO_FRACTION = 1e-4
@@ -98,7 +112,13 @@ class AdmmOptions:
     fixed afterwards. The run stops after max_iters iterations or once both
     residuals are at most tol, scaled by the square root of the (edge,
     cycle) incidence count when scale_tol is set. record_trace keeps
-    per-iteration statistics.
+    per-iteration statistics. Construction raises ValueError unless rho0 is
+    finite and > 0, max_iters >= 1 and tol is finite and >= 0.
+
+    The consensus step is over-relaxed by RELAXATION = 1.7 (Boyd et al.
+    2011, section 3.4.3), which keeps the fixed point and, for any value in
+    (0, 2), the convergence guarantee (Eckstein & Bertsekas, Math.
+    Programming 1992); it is a module constant, not an option.
     """
 
     rho0: float = 1.0
@@ -106,6 +126,11 @@ class AdmmOptions:
     tol: float = 1e-6
     scale_tol: bool = True
     record_trace: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.rho0) and self.rho0 > 0.0):
+            raise ValueError(f"rho0 must be finite and > 0, got {self.rho0}")
+        check_iteration_limits(self.max_iters, self.tol)
 
 
 @dataclass(frozen=True)
@@ -275,26 +300,31 @@ def consensus_step(
     slices: list[slice],
     w_prev: np.ndarray,
     rho: float,
+    alpha: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The w-update, the dual step and both residuals on flat incidence arrays.
 
     marginals (P_c v_c), y and pos (each member's position in w) hold one
     entry per incidence; degree is np.bincount(pos) over w, and slices[g]
-    holds group g's incidences. w averages marginals + y / rho over each
-    edge's incidences, in array order, and is clamped to [0, 1]; edges in no
-    cycle keep w_prev. Then y += rho (P_c v_c - w_c) with the fresh w.
-    Primal residual: the sum of squared consensus gaps, summed per group and
-    the group sums added in order. Dual: rho^2 times the squared w change,
-    counted once per incidence. Returns (w, y, primal, dual).
+    holds group g's incidences. With the relaxed marginals
+    x_hat = alpha P_c v_c + (1 - alpha) w_c^prev (alpha = 1 is plain ADMM),
+    w averages x_hat + y / rho over each edge's incidences, in array order,
+    and is clamped to [0, 1]; edges in no cycle keep w_prev. Then
+    y += rho (x_hat - w_c) with the fresh w. Primal residual: the sum of
+    squared consensus gaps P_c v_c - w_c of the unrelaxed marginals, summed
+    per group and the group sums added in order. Dual: rho^2 times the
+    squared w change, counted once per incidence. Returns (w, y, primal, dual).
     """
-    numerator = np.bincount(pos, weights=marginals + y / rho, minlength=w_prev.shape[0])
+    relaxed = alpha * marginals + (1.0 - alpha) * w_prev[pos]
+    numerator = np.bincount(pos, weights=relaxed + y / rho, minlength=w_prev.shape[0])
     w = w_prev.copy()
     covered = degree > 0
     w[covered] = np.clip(numerator[covered] / degree[covered], 0.0, 1.0)
-    gap = marginals - w[pos]
+    w_rows = w[pos]
+    gap = marginals - w_rows
     primal = sum((float(np.sum(gap[part] ** 2)) for part in slices), 0.0)
     dual = float(rho**2 * np.sum(degree * (w - w_prev) ** 2))
-    return w, y + rho * gap, primal, dual
+    return w, y + rho * (relaxed - w_rows), primal, dual
 
 
 def update_rho(rho: float, r: float, t: float) -> float:
@@ -376,7 +406,9 @@ def run_admm(
             steps += group_steps
             marginals[part] = (v[g] @ p.T).ravel()
 
-        w, y, primal, dual = consensus_step(marginals, y, pos, degree, slices, w, rho)
+        w, y, primal, dual = consensus_step(
+            marginals, y, pos, degree, slices, w, rho, RELAXATION
+        )
         if opts.record_trace:
             trace.append(
                 AdmmIterationStats(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .factorgraph import FactorGraph, InferenceResult
+from .factorgraph import FactorGraph, InferenceResult, check_iteration_limits
 from .model import ModelParams, log_likelihood_rows
 
 MESSAGE_FLOOR = 1e-300
@@ -93,7 +93,11 @@ def run_bp(
     tol: float = DEFAULT_TOL,
     damping: float = DEFAULT_DAMPING,
 ) -> InferenceResult:
-    """Damped loopy BP; non-convergence yields best-effort beliefs."""
+    """Damped loopy BP; non-convergence yields best-effort beliefs.
+
+    Raises ValueError unless max_iters >= 1 and tol is finite and >= 0.
+    """
+    check_iteration_limits(max_iters, tol)
     groups = fg.cycle_groups
     rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
     weights = []

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_margina
 from loopsieve import infer_admm
 from loopsieve.infer_admm import (
     DEFAULT_LC_CAP,
+    RHO_MIN,
     AdmmOptions,
     CycleCapError,
     _solve_batch,
@@ -21,7 +24,7 @@ from loopsieve.infer_admm import (
     update_rho,
 )
 from loopsieve.model import CycleFactor, ModelParams
-from loopsieve.synth import SynthSpec, generate
+from loopsieve.synth import SynthSpec, generate, generate_suite
 from reference import (
     cycle_conditional,
     inlier_marginal,
@@ -314,6 +317,33 @@ class TestUpdateDuals:
         assert math.isfinite(result.primal_residual)
 
 
+class TestRelaxedStep:
+    def test_relaxed_marginal_and_unrelaxed_primal(self):
+        # x_hat = 1.5 * 0.4 - 0.5 * 0.5 = 0.35 becomes w, so the dual step
+        # adds rho (x_hat - w) = 0, while the primal residual measures the
+        # unrelaxed gap 0.4 - 0.35
+        pos = np.array([0])
+        w, y, r, t = consensus_step(
+            np.array([0.4]), np.zeros(1), pos, np.ones(1, np.intp), [slice(0, 1)],
+            np.array([0.5]), 2.0, 1.5,
+        )
+        assert w == pytest.approx([0.35])
+        assert y == pytest.approx([0.0], abs=1e-15)
+        assert r == pytest.approx(0.05**2)
+        assert t == pytest.approx(4.0 * 0.15**2)
+
+    def test_alpha_one_is_plain_admm(self, rng):
+        margs, duals = rng.uniform(0, 1, 5), rng.normal(0, 0.1, 5)
+        pos = np.array([0, 1, 1, 2, 3])
+        args = (pos, np.bincount(pos, minlength=5), [slice(0, 2), slice(2, 5)])
+        w_prev = rng.uniform(0, 1, 5)
+        plain = consensus_step(margs, duals, *args, w_prev, 1.5)
+        relaxed = consensus_step(margs, duals, *args, w_prev, 1.5, 1.0)
+        assert plain[0].tolist() == relaxed[0].tolist()
+        assert plain[1].tolist() == relaxed[1].tolist()
+        assert plain[2:] == relaxed[2:]
+
+
 class TestResiduals:
     def test_fixed_point_is_zero(self):
         _, _, r, t = step(
@@ -374,6 +404,33 @@ class TestLimits:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rho0", 0.0, "rho0 must be finite and > 0, got 0.0"),
+            ("rho0", -1.0, "rho0 must be finite and > 0, got -1.0"),
+            ("rho0", math.nan, "rho0 must be finite and > 0, got nan"),
+            ("rho0", math.inf, "rho0 must be finite and > 0, got inf"),
+            ("max_iters", 0, "max_iters must be at least 1, got 0"),
+            ("max_iters", -3, "max_iters must be at least 1, got -3"),
+            ("tol", -1.0, "tol must be finite and >= 0, got -1.0"),
+            ("tol", math.nan, "tol must be finite and >= 0, got nan"),
+            ("tol", math.inf, "tol must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_invalid_limits_are_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AdmmOptions(**{field: value})
+
+    def test_smallest_valid_limits(self):
+        fg = three_cycle_factor_graph((0.1, 0.3, 0.2))
+        result = run_admm(
+            fg, uniform_params(fg.variables), AdmmOptions(rho0=RHO_MIN, max_iters=1, tol=0.0)
+        )
+        assert result.iterations == 1 and not result.converged
 
 
 class TestUpdateRho:
@@ -452,6 +509,56 @@ class TestRunAdmm:
         assert [row.subproblem_steps for row in result.trace] == [
             sum(counts[i : i + groups]) for i in range(0, len(counts), groups)
         ]
+
+    def test_residuals_read_the_unrelaxed_marginals(self, monkeypatch):
+        # Boyd et al. 2011, section 3.4.3: the primal residual is
+        # sum_c ||P_c v_c - w_c||^2 of the solved v, not of the relaxed
+        # marginals; the dual residual is rho^2 times the w change per
+        # incidence. Stopped early, so that both are far from zero.
+        solve, calls = infer_admm._solve_batch, []
+
+        def recording(v0, v_hat, y, w_rows, rho, p_matrix):
+            v, steps = solve(v0, v_hat, y, w_rows, rho, p_matrix)
+            calls.append((v, w_rows.copy(), p_matrix))
+            return v, steps
+
+        monkeypatch.setattr(infer_admm, "_solve_batch", recording)
+        g = generate(SynthSpec(m_lc=30, num_outliers=6, nodes_per_map=8, seed=5))
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        p = ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))
+        result = run_admm(fg, p, AdmmOptions(max_iters=4, record_trace=True))
+        assert not result.converged
+        w = np.array([result.edge_marginals[eid] for eid in fg.variables])
+        groups = fg.cycle_groups
+        last = calls[-len(groups):]
+        primal = dual = 0.0
+        for group, (v, w_prev_rows, p_matrix) in zip(groups, last):
+            w_rows = w[fg.incidence_var[group.rows]]
+            primal += float(np.sum((v @ p_matrix.T - w_rows) ** 2))
+            dual += float(np.sum((w_rows - w_prev_rows) ** 2))
+        row = result.trace[-1]
+        assert row.primal_residual == pytest.approx(primal, rel=1e-12)
+        assert row.dual_residual == pytest.approx(row.rho**2 * dual, rel=1e-12)
+        assert row.primal_residual > 1e-6
+
+    def test_relaxation_keeps_the_fixed_point(self, monkeypatch):
+        # Over-relaxation changes the path, not the solution: at a tight
+        # tolerance the relaxed and the plain run agree on every marginal,
+        # and the relaxed run needs fewer iterations.
+        cases = []
+        for _, g in itertools.islice(generate_suite(m_values=(10, 20, 30), seed=7), 12):
+            fg = build_factor_graph(g, minimum_cycle_basis(g))
+            cases.append((fg, ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))))
+        opts = AdmmOptions(tol=1e-14, max_iters=5000)
+        assert infer_admm.RELAXATION == 1.7
+        relaxed = [run_admm(fg, p, opts) for fg, p in cases]
+        monkeypatch.setattr(infer_admm, "RELAXATION", 1.0)
+        plain = [run_admm(fg, p, opts) for fg, p in cases]
+        assert all(r.converged for r in relaxed + plain)
+        for a, b in zip(relaxed, plain):
+            for eid, value in a.edge_marginals.items():
+                assert value == pytest.approx(b.edge_marginals[eid], abs=1e-6)
+        assert sum(r.iterations for r in relaxed) < sum(r.iterations for r in plain)
 
     def test_groups_on_golden_em_graph(self):
         # The golden EM fit (tests/test_golden.py) runs run_admm on this

@@ -439,6 +439,21 @@ class TestRunBp:
         assert result.iterations == 2
         assert set(result.edge_marginals) == set(fg.variables)
 
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"max_iters": 0}, "max_iters must be at least 1, got 0"),
+            ({"max_iters": -3}, "max_iters must be at least 1, got -3"),
+            ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
+            ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
+            ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_invalid_limits_are_refused(self, limits, message):
+        fg = three_cycle_factor_graph((0.05, 0.4, 0.8))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_bp(fg, uniform_params(fg.variables), **limits)
+
     def test_uncovered_variable_keeps_prior(self):
         fg = FactorGraph((0, 1, 9), (CycleFactor(0, (0, 1), 0, 0.1),))
         p = ModelParams(0.03, 0.3, {0: 0.5, 1: 0.5, 9: 0.83})

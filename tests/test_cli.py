@@ -74,6 +74,27 @@ def test_infer_trace_is_admm_only(tmp_path, method, option, users):
     assert not trace_file.exists()
 
 
+@pytest.mark.parametrize(
+    "method, option, value, message",
+    [
+        ("admm", "--rho0", "0", "rho0 must be finite and > 0, got 0.0"),
+        ("admm", "--rho0", "nan", "rho0 must be finite and > 0, got nan"),
+        ("admm", "--rho0", "-1", "rho0 must be finite and > 0, got -1.0"),
+        ("admm", "--max-iters", "0", "max_iters must be at least 1, got 0"),
+        ("bp", "--max-iters", "-3", "max_iters must be at least 1, got -3"),
+        ("admm", "--tol", "-1", "tol must be finite and >= 0, got -1.0"),
+        ("bp", "--tol", "nan", "tol must be finite and >= 0, got nan"),
+    ],
+)
+def test_infer_invalid_limits_fail_with_one_line(tmp_path, method, option, value, message):
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    result = CliRunner().invoke(
+        main, ["infer", str(graph_file), "--method", method, option, value]
+    )
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: {message}"]
+
+
 def test_infer_admm_trace_without_cycles(tmp_path):
     # one loop closure joining two maps closes no cycle: the factor graph
     # has a variable but no cycle factor
