@@ -8,7 +8,14 @@ needed.
 """
 
 from .bench import ClassificationResult, classify, run_benchmark
-from .cycles import Cycle, CycleBasis, cycle_error, cycle_rotation, minimum_cycle_basis
+from .cycles import (
+    Cycle,
+    CycleBasis,
+    cycle_error,
+    cycle_errors,
+    cycle_rotation,
+    minimum_cycle_basis,
+)
 from .em import EmConfig, EmTrace, run_em
 from .factorgraph import (
     FactorGraph,
@@ -57,6 +64,7 @@ __all__ = [
     "build_factor_graph",
     "classify",
     "cycle_error",
+    "cycle_errors",
     "cycle_rotation",
     "exact_marginals",
     "generate",

@@ -16,7 +16,7 @@ import click
 
 from . import bench as bench_mod
 from . import synth as synth_mod
-from .cycles import CycleError, cycle_error, minimum_cycle_basis
+from .cycles import CycleError, cycle_errors, minimum_cycle_basis
 from .em import EmConfig, InferenceMethod, run_em
 from .factorgraph import build_factor_graph
 from .graph import (
@@ -72,8 +72,7 @@ def mcb(graph_file: str) -> None:
     """Print the minimum cycle basis: one `CYCLE <len> <z> <edge ids...>` line each."""
     g = _load_graph(graph_file)
     basis = minimum_cycle_basis(g)
-    for cycle in basis.cycles:
-        z = cycle_error(g, cycle)
+    for cycle, z in zip(basis.cycles, cycle_errors(g, basis.cycles)):
         ids = " ".join(str(e) for e in cycle.edge_ids)
         click.echo(f"CYCLE {cycle.length} {z:.9g} {ids}")
 

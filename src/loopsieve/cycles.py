@@ -102,6 +102,26 @@ def cycle_error(g: PoseGraph, cycle: Cycle) -> float:
     return so3.geodesic_angle(cycle_rotation(g, cycle))
 
 
+def cycle_errors(g: PoseGraph, cycles) -> np.ndarray:
+    """:func:`cycle_error` of each cycle, as one float64 array.
+
+    Step j of every cycle is composed in one stacked product; cycles shorter
+    than the longest are padded with identity steps, which leave the product
+    as it is, so each value equals :func:`cycle_error`'s bit for bit.
+    """
+    for cycle in cycles:
+        validate_cycle(g, cycle)
+    steps = np.tile(np.eye(3), (max((c.length for c in cycles), default=0), len(cycles), 1, 1))
+    for i, cycle in enumerate(cycles):
+        for j, (edge_id, direction) in enumerate(cycle.steps):
+            rot = g.edge_by_id[edge_id].rotation
+            steps[j, i] = rot if direction is Direction.FORWARD else rot.T
+    total = np.tile(np.eye(3), (len(cycles), 1, 1))
+    for step in steps:
+        total = step @ total
+    return so3.geodesic_angle_many(total)
+
+
 def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
     """Minimum-total-edge-count cycle basis of g, treated as undirected.
 

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cycles import CycleBasis, cycle_error
+from .cycles import CycleBasis, cycle_errors
 from .graph import EdgeKind, PoseGraph
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
@@ -145,6 +145,7 @@ def log_prior_vector(member_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def factors_from_basis(g: PoseGraph, basis: CycleBasis) -> tuple[CycleFactor, ...]:
     """One factor per basis cycle, members ordered as they occur in the walk."""
     factors = []
+    z = cycle_errors(g, basis.cycles)
     for cycle_id, cycle in enumerate(basis.cycles):
         members = []
         n_fixed = 0
@@ -153,7 +154,7 @@ def factors_from_basis(g: PoseGraph, basis: CycleBasis) -> tuple[CycleFactor, ..
                 members.append(eid)
             else:
                 n_fixed += 1
-        factors.append(CycleFactor(cycle_id, tuple(members), n_fixed, cycle_error(g, cycle)))
+        factors.append(CycleFactor(cycle_id, tuple(members), n_fixed, float(z[cycle_id])))
     return tuple(factors)
 
 

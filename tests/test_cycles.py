@@ -12,6 +12,7 @@ from loopsieve.cycles import (
     Direction,
     _lifted_path,
     cycle_error,
+    cycle_errors,
     cycle_rotation,
     minimum_cycle_basis,
     validate_cycle,
@@ -279,3 +280,35 @@ class TestCycleError:
             )
             z = cycle_error(g, minimum_cycle_basis(g).cycles[0])
             assert 0.0 <= z <= math.pi
+
+
+class TestCycleErrors:
+    def test_bit_identical_to_one_cycle_at_a_time(self, rng):
+        graphs = [
+            generate(spec)
+            for spec in suite_specs(tuple(range(10, 51, 10)), seed=3, scale=1 / 20)
+        ]
+        for _ in range(20):
+            rots = [exp_so3(rng.uniform(-math.pi, math.pi, 3)) for _ in range(7)]
+            graphs.append(make_graph(4, [
+                (eid, u, v, rot)
+                for eid, (u, v), rot in zip(
+                    range(7), [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3), (3, 1)], rots
+                )
+            ]))
+        for g in graphs:
+            cycles = minimum_cycle_basis(g).cycles
+            z = cycle_errors(g, cycles)
+            assert z.dtype == np.float64 and z.shape == (len(cycles),)
+            assert z.tolist() == [cycle_error(g, c) for c in cycles]
+
+    def test_no_cycles(self):
+        g = make_graph(2, [(0, 0, 1)])
+        assert cycle_errors(g, ()).shape == (0,)
+
+    def test_invalid_cycle_rejected(self):
+        g = make_graph(3, [(0, 0, 1), (1, 1, 2), (2, 0, 2)])
+        good = minimum_cycle_basis(g).cycles[0]
+        bad = Cycle(((0, Direction.FORWARD), (1, Direction.REVERSE)))
+        with pytest.raises(CycleError):
+            cycle_errors(g, (good, bad))
