@@ -1,21 +1,24 @@
 """Minimum cycle basis extraction and per-cycle rotation error.
 
-The basis is computed with de Pina's algorithm: GF(2) witness vectors
-supported on the chords of a spanning forest, and for each witness a
-shortest cycle with odd intersection found via breadth-first search in a
-parity-lifted (doubled) graph. Edge weight is 1 per edge, so the basis is
+The basis is chosen from Horton's candidate set (Horton, SIAM J. Comput.
+1987; Kavitha et al., Computer Science Review 2009). From each root r, one
+BFS tree is grown with neighbours in edge-id order, and each non-tree edge
+xy whose tree paths P(r, x) and P(r, y) meet only at r gives the candidate
+P(r, x) + xy + P(y, r). The distinct candidates are sorted by (length,
+sorted edge ids) and kept greedily while they are independent over GF(2),
+tested on their chord bits against a spanning forest, until the basis has
+|E| - |V| + (components) cycles. Edge weight is 1 per edge, so the basis is
 minimal in total edge count.
 
-Nodes are numbered 0 .. V-1 in sorted id order and lifted vertex
-(v, parity) is 2*v + parity. The lifted adjacency is built once per graph,
-and each witness patches only its odd edges' endpoint rows to flip parity.
-Tie-breaking is deterministic but local: for each witness, one BFS runs
-from each endpoint of its odd edges and keeps the first shortest path it
-finds (neighbours in edge-id order); each path is split into simple cycles
-(a path through distinct vertices is one already), and among the odd
-pieces of those paths the one with the smallest (length, sorted edge ids)
-wins. A shortest odd cycle that no such path traces is never a candidate,
-so the basis need not be the lexicographically smallest minimum basis.
+The roots are a greedy feedback vertex set rather than every vertex: every
+cycle passes through a root, and Horton's exchange argument holds for any
+vertex of the cycle, so the candidates still contain a minimum basis.
+
+Nodes are numbered 0 .. V-1 in sorted id order. A cycle is a Python int
+edge mask with edge column c (in id order) at bit E-1-c, so the key
+(length, -mask) gives the (length, sorted edge ids) order. The basis is the
+greedy one over this candidate set; a cycle outside the set may make
+another minimum basis lexicographically smaller.
 """
 
 from __future__ import annotations
@@ -126,40 +129,67 @@ def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
     """Minimum-total-edge-count cycle basis of g, treated as undirected.
 
     Forests yield an empty basis. The number of cycles equals
-    |E| - |V| + (connected components). Output is deterministic.
+    |E| - |V| + (connected components). Cycles come in the order they were
+    kept: by length, then by sorted edge ids. Output is deterministic.
     """
     endpoints = {e.id: (e.src, e.dst) for e in g.edges}
     index = {node_id: i for i, node_id in enumerate(sorted(n.id for n in g.nodes))}
+    ids = sorted(endpoints)
+    top = len(ids) - 1
+    # edge column c (in id order) is bit top - c: of two cycles of one length,
+    # the one with the smaller sorted ids has the larger mask
+    ends = [(index[endpoints[eid][0]], index[endpoints[eid][1]]) for eid in ids]
     # rows come out in edge-id order, since edges are visited in that order
     adjacency: list[list[tuple[int, int]]] = [[] for _ in index]
-    for eid, (u, v) in sorted(endpoints.items()):
-        adjacency[index[u]].append((eid, index[v]))
-        adjacency[index[v]].append((eid, index[u]))
-    lifted = [[(2 * w + p, eid) for eid, w in row] for row in adjacency for p in (0, 1)]
+    for c, (u, v) in enumerate(ends):
+        adjacency[u].append((c, v))
+        adjacency[v].append((c, u))
 
-    chords = _chords(adjacency, endpoints)
-    chord_pos = {eid: i for i, eid in enumerate(chords)}
-    witnesses = [1 << i for i in range(len(chords))]
+    candidates: set[int] = set()
+    chord_mask = 0  # non-tree edges of the first BFS tree in each component
+    nu = 0
+    reached = [False] * len(adjacency)
+    for root in _feedback_vertices(adjacency):
+        path: list[int | None] = [None] * len(adjacency)  # tree path to root, as a mask
+        branch = [-1] * len(adjacency)  # child of root that x hangs from
+        parent_edge = [-1] * len(adjacency)
+        path[root] = 0
+        queue = [root]
+        for x in queue:
+            for c, y in adjacency[x]:
+                if path[y] is None:
+                    path[y] = path[x] | 1 << (top - c)
+                    branch[y] = y if x == root else branch[x]
+                    parent_edge[y] = c
+                    queue.append(y)
+        first = not reached[root]  # the first tree of its component
+        for x in queue:
+            reached[x] = True
+            for c, y in adjacency[x]:
+                if x > y or c == parent_edge[x] or c == parent_edge[y]:
+                    continue
+                if first:
+                    chord_mask |= 1 << (top - c)
+                    nu += 1
+                if branch[x] != branch[y]:
+                    candidates.add(path[x] | path[y] | 1 << (top - c))
 
     basis: list[Cycle] = []
-    for i in range(len(chords)):
-        odd_edges: set[int] = set()
-        bits = witnesses[i]
-        while bits:
-            low = bits & -bits
-            odd_edges.add(chords[low.bit_length() - 1])
-            bits ^= low
-        cycle_edges = _shortest_odd_cycle(lifted, index, endpoints, odd_edges)
-        cycle_mask = 0
-        for eid in cycle_edges:
-            if eid in chord_pos:
-                cycle_mask |= 1 << chord_pos[eid]
-        if not (cycle_mask & witnesses[i]).bit_count() & 1:
-            raise AssertionError("cycle is not odd against its witness")
-        for j in range(i + 1, len(chords)):
-            if (cycle_mask & witnesses[j]).bit_count() & 1:
-                witnesses[j] ^= witnesses[i]
-        basis.append(_orient_cycle(list(cycle_edges), endpoints))
+    pivots: dict[int, int] = {}  # reduced chord bits, keyed by their top bit
+    for mask in sorted(candidates, key=lambda m: (m.bit_count(), -m)):
+        if len(basis) == nu:
+            break
+        bits = mask & chord_mask
+        while bits and (pivot := pivots.get(bits.bit_length())) is not None:
+            bits ^= pivot
+        if bits:
+            pivots[bits.bit_length()] = bits
+            edge_ids = []
+            while mask:
+                low = mask & -mask
+                edge_ids.append(ids[top + 1 - low.bit_length()])
+                mask ^= low
+            basis.append(_orient_cycle(edge_ids, endpoints))
 
     lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
     covered = frozenset(
@@ -168,127 +198,32 @@ def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
     return CycleBasis(tuple(basis), covered)
 
 
-def _chords(adjacency, endpoints) -> list[int]:
-    """Non-tree edges of a BFS spanning forest, sorted by edge id."""
-    tree_edges: set[int] = set()
-    visited = [False] * len(adjacency)
-    for root in range(len(adjacency)):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        for node in queue:
-            for eid, other in adjacency[node]:
-                if not visited[other]:
-                    visited[other] = True
-                    tree_edges.add(eid)
-                    queue.append(other)
-    return sorted(eid for eid in endpoints if eid not in tree_edges)
+def _feedback_vertices(adjacency) -> list[int]:
+    """Greedy feedback vertex set: peel vertices of degree <= 1, then take
+    the vertex of highest degree (ties to the lowest index), and repeat
+    until no vertex is left. The vertices not taken induce a forest."""
+    degree = [len(row) for row in adjacency]
+    alive = [True] * len(adjacency)
 
-
-def _shortest_odd_cycle(lifted, index, endpoints, odd_edges: set[int]) -> tuple[int, ...]:
-    """Sorted edge ids of a minimum-weight cycle whose intersection with
-    odd_edges is odd.
-
-    Searches the parity-lifted graph, in which traversing an edge in
-    odd_edges flips the parity bit: the rows of the odd edges' endpoints are
-    patched for the search and restored after it. Any shortest (v, 0) ->
-    (v, 1) path projects onto a closed odd edge set. Such a set is an
-    edge-disjoint union of simple cycles, at least one of which is odd; the
-    best odd piece is kept.
-    """
-    sources = sorted({index[v] for eid in odd_edges for v in endpoints[eid]})
-    saved = {x: lifted[x] for v in sources for x in (2 * v, 2 * v + 1)}
-    for x, row in saved.items():
-        lifted[x] = [(t ^ 1, e) if e in odd_edges else (t, e) for t, e in row]
-    best_len = len(endpoints) + 1
-    best: tuple[int, ...] = ()
-    for source in sources:
-        found = _lifted_path(lifted, 2 * source)
-        if found is None:
-            continue
-        path, simple = found
-        # a closed walk through distinct vertices is its own only piece and,
-        # crossing odd_edges an odd number of times, is odd
-        pieces = [path] if simple else [
-            piece
-            for piece in _split_into_simple_cycles(
-                {eid for eid in path if path.count(eid) % 2}, endpoints
-            )
-            if len(piece & odd_edges) % 2
-        ]
-        for piece in pieces:
-            if len(piece) > best_len:
+    def remove(stack: list[int]) -> None:
+        while stack:
+            x = stack.pop()
+            if not alive[x]:
                 continue
-            ids = tuple(sorted(piece))
-            if len(ids) < best_len or ids < best:
-                best_len, best = len(ids), ids
-    for x, row in saved.items():
-        lifted[x] = row
-    if not best:
-        raise AssertionError("no odd cycle found for a chord witness")
-    return best
+            alive[x] = False
+            for _, y in adjacency[x]:
+                if alive[y]:
+                    degree[y] -= 1
+                    if degree[y] <= 1:
+                        stack.append(y)
 
-
-def _lifted_path(lifted, start: int) -> tuple[list[int], bool] | None:
-    """BFS from lifted vertex start = (s, 0) to start + 1 = (s, 1).
-
-    Returns the path's edge ids and whether its projected vertices are
-    distinct. The search ends when the goal is first discovered: its parent,
-    and so the path, is fixed then.
-    """
-    goal = start + 1
-    parent = [-1] * len(lifted)
-    parent_edge = [-1] * len(lifted)
-    parent[start] = start
-    queue = [start]
-    for x in queue:
-        for t, eid in lifted[x]:
-            if parent[t] < 0:
-                parent[t] = x
-                parent_edge[t] = eid
-                if t == goal:
-                    path: list[int] = []
-                    vertices: set[int] = set()
-                    while t != start:
-                        path.append(parent_edge[t])
-                        t = parent[t]
-                        vertices.add(t >> 1)
-                    path.reverse()
-                    return path, len(vertices) == len(path)
-                queue.append(t)
-    return None
-
-
-def _split_into_simple_cycles(edge_set: set[int], endpoints) -> list[set[int]]:
-    """Decompose an even-degree edge set into edge-disjoint simple cycles."""
-    remaining = set(edge_set)
-    incident: dict[int, list[int]] = {}
-    for eid in sorted(edge_set):
-        u, v = endpoints[eid]
-        incident.setdefault(u, []).append(eid)
-        incident.setdefault(v, []).append(eid)
-    pieces: list[set[int]] = []
-    while remaining:
-        start = min(v for v, eids in incident.items() if any(e in remaining for e in eids))
-        path_edges: list[int] = []
-        position = {start: 0}
-        vertices = [start]
-        current = start
-        while True:
-            eid = next(e for e in incident[current] if e in remaining and e not in path_edges)
-            u, v = endpoints[eid]
-            nxt = v if u == current else u
-            path_edges.append(eid)
-            if nxt in position:
-                loop = set(path_edges[position[nxt]:])
-                pieces.append(loop)
-                remaining -= loop
-                break
-            vertices.append(nxt)
-            position[nxt] = len(vertices) - 1
-            current = nxt
-    return pieces
+    remove([v for v in range(len(adjacency)) if degree[v] <= 1])
+    roots: list[int] = []
+    while any(alive):
+        root = max((v for v in range(len(adjacency)) if alive[v]), key=lambda v: (degree[v], -v))
+        roots.append(root)
+        remove([root])
+    return roots
 
 
 def _orient_cycle(edge_ids: list[int], endpoints) -> Cycle:

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from loopsieve.cycles import Cycle, CycleBasis, _orient_cycle, _split_into_simple_cycles
+from loopsieve.cycles import Cycle, CycleBasis, _feedback_vertices, _orient_cycle
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
 from loopsieve.infer_admm import _project_rows, cycle_conditionals, marginalization_matrix
@@ -126,7 +126,93 @@ def joint_log_density(
     return total
 
 
-# --- the cycle basis search on tuple-keyed lifted vertices ----------------
+# --- the cycle basis: Horton candidates, one explicit path at a time ------
+
+
+def library_roots(g: PoseGraph) -> list[int]:
+    """The node ids that `minimum_cycle_basis` roots its BFS trees at."""
+    node_ids = sorted(n.id for n in g.nodes)
+    index = {node_id: i for i, node_id in enumerate(node_ids)}
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in node_ids]
+    for e in g.edges:
+        adjacency[index[e.src]].append((e.id, index[e.dst]))
+        adjacency[index[e.dst]].append((e.id, index[e.src]))
+    return [node_ids[i] for i in _feedback_vertices(adjacency)]
+
+
+def reference_candidate_basis(g: PoseGraph, roots) -> CycleBasis:
+    """Greedy minimum basis over Horton candidates rooted at ``roots``.
+
+    One BFS tree per root, neighbours in edge-id order, keeps each vertex's
+    tree path as a list of edge ids and of vertices. A non-tree edge xy whose
+    two tree paths share only the root gives the candidate P(r, x) + xy +
+    P(y, r). Distinct candidates are sorted by (length, sorted edge ids) and
+    kept while they raise the GF(2) rank of the kept set, found by
+    elimination over all edges; the search stops at |E| - |V| + components.
+    """
+    endpoints = {e.id: (e.src, e.dst) for e in g.edges}
+    adjacency: dict[int, list[tuple[int, int]]] = {n.id: [] for n in g.nodes}
+    for eid, (u, v) in sorted(endpoints.items()):
+        adjacency[u].append((eid, v))
+        adjacency[v].append((eid, u))
+    nu = len(endpoints) - len(adjacency) + _component_count(adjacency)
+
+    candidates: set[tuple[int, ...]] = set()
+    for root in roots:
+        edge_path: dict[int, list[int]] = {root: []}
+        vertex_path: dict[int, list[int]] = {root: [root]}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for eid, y in adjacency[x]:
+                if y not in edge_path:
+                    edge_path[y] = edge_path[x] + [eid]
+                    vertex_path[y] = vertex_path[x] + [y]
+                    queue.append(y)
+        for eid, (x, y) in endpoints.items():
+            if x not in edge_path or eid in edge_path[x] or eid in edge_path[y]:
+                continue
+            if set(vertex_path[x]) & set(vertex_path[y]) == {root}:
+                candidates.add(tuple(sorted(edge_path[x] + edge_path[y] + [eid])))
+
+    basis: list[Cycle] = []
+    rows: list[set[int]] = []  # kept cycles reduced to echelon form, pivot = min id
+    for ids in sorted(candidates, key=lambda c: (len(c), c)):
+        if len(basis) == nu:
+            break
+        row = set(ids)
+        for kept in rows:
+            if min(kept) in row:
+                row ^= kept
+        if row:
+            rows = [kept ^ row if min(row) in kept else kept for kept in rows] + [row]
+            basis.append(_orient_cycle(list(ids), endpoints))
+
+    lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
+    covered = frozenset(
+        eid for cycle in basis for eid in cycle.edge_ids if eid in lc_ids
+    )
+    return CycleBasis(tuple(basis), covered)
+
+
+def _component_count(adjacency) -> int:
+    seen: set[int] = set()
+    count = 0
+    for start in adjacency:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for _, other in adjacency[stack.pop()]:
+                if other not in seen:
+                    seen.add(other)
+                    stack.append(other)
+    return count
+
+
+# --- de Pina's cycle basis search on tuple-keyed lifted vertices ---------
 
 
 def reference_minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
@@ -246,6 +332,37 @@ def reference_lifted_shortest_path(adjacency, odd_edges, source: int) -> list[in
         path.append(eid)
     path.reverse()
     return path
+
+
+def _split_into_simple_cycles(edge_set: set[int], endpoints) -> list[set[int]]:
+    """Decompose an even-degree edge set into edge-disjoint simple cycles."""
+    remaining = set(edge_set)
+    incident: dict[int, list[int]] = {}
+    for eid in sorted(edge_set):
+        u, v = endpoints[eid]
+        incident.setdefault(u, []).append(eid)
+        incident.setdefault(v, []).append(eid)
+    pieces: list[set[int]] = []
+    while remaining:
+        start = min(v for v, eids in incident.items() if any(e in remaining for e in eids))
+        path_edges: list[int] = []
+        position = {start: 0}
+        vertices = [start]
+        current = start
+        while True:
+            eid = next(e for e in incident[current] if e in remaining and e not in path_edges)
+            u, v = endpoints[eid]
+            nxt = v if u == current else u
+            path_edges.append(eid)
+            if nxt in position:
+                loop = set(path_edges[position[nxt]:])
+                pieces.append(loop)
+                remaining -= loop
+                break
+            vertices.append(nxt)
+            position[nxt] = len(vertices) - 1
+            current = nxt
+    return pieces
 
 
 # --- exact enumeration on full-length state arrays -----------------------

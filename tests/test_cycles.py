@@ -10,7 +10,6 @@ from loopsieve.cycles import (
     Cycle,
     CycleError,
     Direction,
-    _lifted_path,
     cycle_error,
     cycle_errors,
     cycle_rotation,
@@ -20,7 +19,7 @@ from loopsieve.cycles import (
 from loopsieve.graph import EdgeKind, Node, PoseGraph
 from loopsieve.so3 import exp_so3
 from loopsieve.synth import SynthSpec, generate, suite_specs
-from reference import reference_minimum_cycle_basis
+from reference import library_roots, reference_candidate_basis, reference_minimum_cycle_basis
 
 
 def basis_edge_sets(basis):
@@ -149,7 +148,7 @@ class TestMinimumCycleBasis:
             members = [e for e in cycle.edge_ids if e in lc_ids]
             assert len(members) >= 2
 
-    def test_same_ordered_basis_as_tuple_keyed_search(self, rng):
+    def test_same_basis_as_naive_candidate_greedy(self, rng):
         # the m = 100 graphs of the perfbench em-fit workload, seeds 1-5,
         # one m = 200 graph, small random multigraphs and the desk-suite
         # graphs of seed 1
@@ -168,25 +167,49 @@ class TestMinimumCycleBasis:
         ]
         assert len(graphs) == 68
         for g in graphs:
-            assert minimum_cycle_basis(g) == reference_minimum_cycle_basis(g)
+            _assert_matches_oracles(g)
 
     @settings(max_examples=200, deadline=None)
     @given(g=relabelled_multigraphs())
-    def test_same_ordered_basis_under_any_ids(self, g):
-        assert minimum_cycle_basis(g) == reference_minimum_cycle_basis(g)
+    def test_same_basis_as_naive_candidate_greedy_under_any_ids(self, g):
+        _assert_matches_oracles(g)
 
-    def test_lifted_path_flags_a_revisited_vertex(self):
-        # edge 0 hangs node 0 off the triangle 1-2-3; with edges 0 and 1
-        # odd, the odd walk from node 0 crosses edge 0 twice and so visits
-        # node 1 twice, while the one from node 1 is the triangle itself
-        odd_edges = {0, 1}
-        lifted = [[] for _ in range(8)]
-        for eid, u, v in [(0, 0, 1), (1, 1, 2), (2, 2, 3), (3, 3, 1)]:
-            for a, b in ((u, v), (v, u)):
-                for p in (0, 1):
-                    lifted[2 * a + p].append((2 * b + (p ^ (eid in odd_edges)), eid))
-        assert _lifted_path(lifted, 0) == ([0, 1, 2, 3, 0], False)
-        assert _lifted_path(lifted, 2) == ([1, 2, 3], True)
+    def test_roots_are_a_feedback_vertex_set(self, rng):
+        for _ in range(200):
+            g = random_multigraph(rng, max_edges=12)
+            roots = set(library_roots(g))
+            component = {n.id: n.id for n in g.nodes}
+
+            def find(v):
+                while component[v] != v:
+                    v = component[v]
+                return v
+
+            for e in g.edges:
+                if e.src in roots or e.dst in roots:
+                    continue
+                a, b = find(e.src), find(e.dst)
+                assert a != b, "deleting the roots leaves a cycle"
+                component[a] = b
+
+    def test_roots_peel_then_take_the_highest_degree(self):
+        # the path 4-5 hanging off node 3 is peeled; node 1 has degree 5
+        # and is taken first, which leaves the triangle 0-2-3 to node 0 (the
+        # lowest of three degree-2 nodes)
+        g = make_graph(6, [
+            (0, 0, 1), (1, 1, 2), (2, 1, 3), (3, 1, 0), (4, 0, 2), (5, 2, 3),
+            (6, 3, 0), (7, 3, 4), (8, 4, 5), (9, 1, 2),
+        ])
+        assert library_roots(g) == [1, 0]
+
+
+def _assert_matches_oracles(g):
+    """The basis equals the naive candidate greedy over the same roots, in
+    order, and has the sorted cycle lengths of de Pina's search."""
+    basis = minimum_cycle_basis(g)
+    assert basis == reference_candidate_basis(g, library_roots(g))
+    old = reference_minimum_cycle_basis(g)
+    assert sorted(c.length for c in basis.cycles) == sorted(c.length for c in old.cycles)
 
 
 def _gf2_rank(masks):
