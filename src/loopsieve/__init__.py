@@ -8,14 +8,7 @@ needed.
 """
 
 from .bench import ClassificationResult, classify, run_benchmark
-from .cycles import (
-    Cycle,
-    CycleBasis,
-    cycle_error,
-    cycle_errors,
-    cycle_rotation,
-    minimum_cycle_basis,
-)
+from .cycles import Cycle, CycleBasis, cycle_error, cycle_rotation, minimum_cycle_basis
 from .em import EmConfig, EmTrace, run_em
 from .factorgraph import (
     FactorGraph,
@@ -64,7 +57,6 @@ __all__ = [
     "build_factor_graph",
     "classify",
     "cycle_error",
-    "cycle_errors",
     "cycle_rotation",
     "exact_marginals",
     "generate",

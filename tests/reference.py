@@ -148,14 +148,13 @@ def reference_candidate_basis(g: PoseGraph, roots) -> CycleBasis:
     two tree paths share only the root gives the candidate P(r, x) + xy +
     P(y, r). Distinct candidates are sorted by (length, sorted edge ids) and
     kept while they raise the GF(2) rank of the kept set, found by
-    elimination over all edges; the search stops at |E| - |V| + components.
+    elimination over all edges.
     """
     endpoints = {e.id: (e.src, e.dst) for e in g.edges}
     adjacency: dict[int, list[tuple[int, int]]] = {n.id: [] for n in g.nodes}
     for eid, (u, v) in sorted(endpoints.items()):
         adjacency[u].append((eid, v))
         adjacency[v].append((eid, u))
-    nu = len(endpoints) - len(adjacency) + _component_count(adjacency)
 
     candidates: set[tuple[int, ...]] = set()
     for root in roots:
@@ -178,8 +177,6 @@ def reference_candidate_basis(g: PoseGraph, roots) -> CycleBasis:
     basis: list[Cycle] = []
     rows: list[set[int]] = []  # kept cycles reduced to echelon form, pivot = min id
     for ids in sorted(candidates, key=lambda c: (len(c), c)):
-        if len(basis) == nu:
-            break
         row = set(ids)
         for kept in rows:
             if min(kept) in row:
@@ -193,23 +190,6 @@ def reference_candidate_basis(g: PoseGraph, roots) -> CycleBasis:
         eid for cycle in basis for eid in cycle.edge_ids if eid in lc_ids
     )
     return CycleBasis(tuple(basis), covered)
-
-
-def _component_count(adjacency) -> int:
-    seen: set[int] = set()
-    count = 0
-    for start in adjacency:
-        if start in seen:
-            continue
-        count += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for _, other in adjacency[stack.pop()]:
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    return count
 
 
 # --- de Pina's cycle basis search on tuple-keyed lifted vertices ---------
