@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import so3
-from .graph import EdgeKind, PoseGraph
+from .graph import PoseGraph
 
 
 class Direction(Enum):
@@ -62,7 +62,6 @@ class Cycle:
 @dataclass(frozen=True)
 class CycleBasis:
     cycles: tuple[Cycle, ...]
-    covered_lc_edges: frozenset[int]
 
 
 def validate_cycle(g: PoseGraph, cycle: Cycle) -> None:
@@ -191,11 +190,7 @@ def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
                 mask ^= low
             basis.append(_orient_cycle(edge_ids, endpoints))
 
-    lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
-    covered = frozenset(
-        eid for cycle in basis for eid in cycle.edge_ids if eid in lc_ids
-    )
-    return CycleBasis(tuple(basis), covered)
+    return CycleBasis(tuple(basis))
 
 
 def _feedback_vertices(adjacency) -> list[int]:

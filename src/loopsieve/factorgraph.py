@@ -2,11 +2,13 @@
 
 Every loop-closure edge is a binary variable (0 = inlier, 1 = outlier) with a
 unary prior factor; every basis cycle that contains at least one loop-closure
-edge contributes an evidence factor. Exact posterior marginals, the reference
-all approximate back-ends are tested against, come from sum-product bucket
-elimination in the log domain (Dechter, "Bucket elimination", Artificial
-Intelligence 1999; Koller & Friedman, Probabilistic Graphical Models, 2009,
-ch. 9-10).
+edge contributes an evidence factor. FactorGraph.evidence(params) is all
+that BP, ADMM and exact inference read of the model parameters: log p(z | s)
+for every (factor, s) row and every edge's prior. Exact posterior marginals,
+the reference all approximate back-ends are tested against, come from
+sum-product bucket elimination in the log domain (Dechter, "Bucket
+elimination", Artificial Intelligence 1999; Koller & Friedman,
+Probabilistic Graphical Models, 2009, ch. 9-10).
 
 The cost is set by the elimination cliques, not by the size of a connected
 block: a clique of c edges is one float64 table of 2^c entries, and the
@@ -77,19 +79,19 @@ class FactorGraph:
     contiguous. Count rows, one per (factor, s) with s = 0 .. k, run the same
     way: the layout of log_likelihood_rows(factors, pairs) and of
     InferenceResult.count_marginals. The array-backed views below are built
-    once per graph.
+    once per graph; :meth:`evidence` is what each back-end reads of the
+    model parameters, once per run.
     """
 
     variables: tuple[int, ...]
     factors: tuple[CycleFactor, ...]
 
-    @cached_property
-    def var_factors(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {eid: [] for eid in self.variables}
-        for f_idx, factor in enumerate(self.factors):
-            for eid in factor.lc_members:
-                out[eid].append(f_idx)
-        return {eid: tuple(v) for eid, v in out.items()}
+    def evidence(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, prior): log p(z | s) of every count row under (sigma,
+        sigma_bar), and each variable's prior inlier probability, in
+        variables order."""
+        rows = log_likelihood_rows(self.factors, [(params.sigma, params.sigma_bar)])[0]
+        return rows, np.array([params.prior(eid) for eid in self.variables])
 
     @cached_property
     def covered_variables(self) -> tuple[int, ...]:
@@ -259,11 +261,12 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
     beliefs. Edges outside every cycle factor keep their prior.
     """
     cliques = _min_fill_cliques(fg)
-    marginals: dict[int, float] = {eid: params.prior(eid) for eid in fg.variables}
-    rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
+    rows, prior = fg.evidence(params)
+    # every edge starts at its prior, so each bucket's prior is read from here
+    marginals: dict[int, float] = dict(zip(fg.variables, prior.tolist()))
     counts = np.zeros_like(rows)
     bucket_of = {clique[0]: i for i, clique in enumerate(cliques)}
-    log_in, log_out = log_prior_vector(np.array([params.prior(clique[0]) for clique in cliques]))
+    log_in, log_out = log_prior_vector(np.array([marginals[clique[0]] for clique in cliques]))
     local: list[np.ndarray | None] = []
     for i, clique in enumerate(cliques):
         table = np.zeros((2,) * len(clique))

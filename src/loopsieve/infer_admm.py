@@ -17,12 +17,12 @@ _solve_batch); cycles of equal member count are solved in one vectorized
 batch, and each call starts from the previous iteration's v.
 
 The consensus state is one flat float64 array per quantity over the
-(factor, member) incidences: the marginals P_c v_c, the duals y and each
-member's position in w. The arrays run in group order: groups in
-FactorGraph.cycle_groups order, each group's incidence rows raveled, so a
-group's batch is a contiguous slice reshaped to (cycles, k). Group order,
-not incidence-row order, is kept because np.bincount adds each edge's
-terms in array order, and incidence-row order moves w in the last bits.
+(factor, member) incidences, in the factor graph's incidence-row order:
+the marginals P_c v_c and the duals y, with FactorGraph.incidence_var
+giving each member's position in w: the general-form consensus of Boyd et
+al. 2011, section 7.2. Each group of FactorGraph.cycle_groups reads and
+writes its (cycles, k) block through CycleGroup.rows. np.bincount adds
+each edge's terms in this order, so the order fixes the last bits of w.
 Only cycles with k <= DEFAULT_LC_CAP members are solved, since each v_c
 has 2^k entries; run_admm raises CycleCapError before building any table.
 
@@ -48,18 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult, check_iteration_limits
-from .model import (
-    CycleFactor,
-    ModelParams,
-    _popcounts,
-    log_likelihood_rows,
-    log_prior_vector,
-)
+from .model import ModelParams, _popcounts, log_prior_vector
 
 
 # Residual balancing (see update_rho): rho is multiplied or divided by
@@ -165,19 +158,16 @@ def marginalization_matrix(k: int) -> np.ndarray:
     return rows
 
 
-def cycle_conditionals(factors: Sequence[CycleFactor], params: ModelParams) -> np.ndarray:
+def cycle_conditionals(log_rows: np.ndarray, priors: np.ndarray) -> np.ndarray:
     """Posterior over each cycle's own configurations given its error
-    alone, for factors that share their member count k: shape
-    (factors, 2^k), one row each.
+    alone, for F cycles of k members each: log_rows (F, k + 1) holds
+    log p(z | s), s = 0 .. k, and priors (F, k) the members' prior inlier
+    probabilities. Returns shape (F, 2^k), one row each.
 
     p(mask) is proportional to p(z | popcount(mask)) times the member priors.
     """
-    k = len(factors[0].lc_members)
-    if k == 0:
-        raise ValueError(f"cycle {factors[0].cycle_id} has no loop-closure members")
-    table = log_likelihood_rows(factors, [(params.sigma, params.sigma_bar)])
-    log_p = table.reshape(len(factors), k + 1)[:, _popcounts(k)]
-    priors = np.array([[params.prior(eid) for eid in f.lc_members] for f in factors])
+    k = priors.shape[1]
+    log_p = log_rows[:, _popcounts(k)]
     log_in, log_out = log_prior_vector(priors)
     masks = np.arange(1 << k)
     for j in range(k):
@@ -297,7 +287,6 @@ def consensus_step(
     y: np.ndarray,
     pos: np.ndarray,
     degree: np.ndarray,
-    slices: list[slice],
     w_prev: np.ndarray,
     rho: float,
     alpha: float = 1.0,
@@ -305,15 +294,14 @@ def consensus_step(
     """The w-update, the dual step and both residuals on flat incidence arrays.
 
     marginals (P_c v_c), y and pos (each member's position in w) hold one
-    entry per incidence; degree is np.bincount(pos) over w, and slices[g]
-    holds group g's incidences. With the relaxed marginals
-    x_hat = alpha P_c v_c + (1 - alpha) w_c^prev (alpha = 1 is plain ADMM),
-    w averages x_hat + y / rho over each edge's incidences, in array order,
-    and is clamped to [0, 1]; edges in no cycle keep w_prev. Then
-    y += rho (x_hat - w_c) with the fresh w. Primal residual: the sum of
-    squared consensus gaps P_c v_c - w_c of the unrelaxed marginals, summed
-    per group and the group sums added in order. Dual: rho^2 times the
-    squared w change, counted once per incidence. Returns (w, y, primal, dual).
+    entry per incidence; degree is np.bincount(pos) over w. With the relaxed
+    marginals x_hat = alpha P_c v_c + (1 - alpha) w_c^prev (alpha = 1 is
+    plain ADMM), w averages x_hat + y / rho over each edge's incidences, in
+    array order, and is clamped to [0, 1]; edges in no cycle keep w_prev.
+    Then y += rho (x_hat - w_c) with the fresh w. Primal residual: the sum of
+    squared consensus gaps P_c v_c - w_c of the unrelaxed marginals. Dual:
+    rho^2 times the squared w change, counted once per incidence. Returns
+    (w, y, primal, dual).
     """
     relaxed = alpha * marginals + (1.0 - alpha) * w_prev[pos]
     numerator = np.bincount(pos, weights=relaxed + y / rho, minlength=w_prev.shape[0])
@@ -322,7 +310,7 @@ def consensus_step(
     w[covered] = np.clip(numerator[covered] / degree[covered], 0.0, 1.0)
     w_rows = w[pos]
     gap = marginals - w_rows
-    primal = sum((float(np.sum(gap[part] ** 2)) for part in slices), 0.0)
+    primal = float(np.sum(gap**2))
     dual = float(rho**2 * np.sum(degree * (w - w_prev) ** 2))
     return w, y + rho * (relaxed - w_rows), primal, dual
 
@@ -359,21 +347,19 @@ def run_admm(
     n_edges = len(variables)
 
     # Cycles of equal member count k form one group, solved as one 2-D
-    # block of v, rows in factor order. The per-incidence arrays run in
-    # group order (see the module docstring): group g owns slices[g].
+    # block of v, rows in factor order; member_pos[g] holds the positions
+    # in w of its members, (cycles, k).
     groups = fg.cycle_groups
     for group in groups:  # refuse before any 2^k table is built
         if group.k > DEFAULT_LC_CAP:
             raise CycleCapError(fg.factors[group.factors[0]].cycle_id, group.k)
+    rows, prior = fg.evidence(params)
+    pos = fg.incidence_var
+    member_pos = [pos[group.rows] for group in groups]
     p_matrices = [marginalization_matrix(group.k) for group in groups]
     v_hat = [
-        cycle_conditionals([fg.factors[i] for i in group.factors], params)
-        for group in groups
-    ]
-    span = np.cumsum([0] + [group.rows.size for group in groups])
-    slices = [slice(a, b) for a, b in zip(span[:-1], span[1:])]
-    pos = fg.incidence_var[
-        np.concatenate([np.zeros(0, np.intp)] + [group.rows.ravel() for group in groups])
+        cycle_conditionals(rows[group.count_rows], prior[at])
+        for group, at in zip(groups, member_pos)
     ]
     degree = np.bincount(pos, minlength=n_edges)
     n_rows = len(pos)
@@ -384,10 +370,9 @@ def run_admm(
 
     # Warm start w at the average of the incident data-only marginals,
     # and uncovered edges at their prior.
-    for part, block, p in zip(slices, v, p_matrices):
-        marginals[part] = (block @ p.T).ravel()
-    w = np.array([params.prior(eid) for eid in variables])
-    w = consensus_step(marginals, y, pos, degree, slices, w, rho)[0]
+    for group, block, p in zip(groups, v, p_matrices):
+        marginals[group.rows] = block @ p.T
+    w = consensus_step(marginals, y, pos, degree, prior, rho)[0]
 
     eps = opts.tol * (np.sqrt(max(n_rows, 1)) if opts.scale_tol else 1.0)
 
@@ -398,17 +383,14 @@ def run_admm(
     trace: list[AdmmIterationStats] = []
     for iterations in range(1, opts.max_iters + 1):
         steps = 0
-        for g, (part, group, p) in enumerate(zip(slices, groups, p_matrices)):
+        for g, (group, p) in enumerate(zip(groups, p_matrices)):
             v[g], group_steps = _solve_batch(
-                v[g], v_hat[g], y[part].reshape(-1, group.k), w[pos[part]].reshape(-1, group.k),
-                rho, p,
+                v[g], v_hat[g], y[group.rows], w[member_pos[g]], rho, p
             )
             steps += group_steps
-            marginals[part] = (v[g] @ p.T).ravel()
+            marginals[group.rows] = v[g] @ p.T
 
-        w, y, primal, dual = consensus_step(
-            marginals, y, pos, degree, slices, w, rho, RELAXATION
-        )
+        w, y, primal, dual = consensus_step(marginals, y, pos, degree, w, rho, RELAXATION)
         if opts.record_trace:
             trace.append(
                 AdmmIterationStats(
@@ -431,7 +413,7 @@ def run_admm(
             rho = update_rho(rho, dual, primal)
 
     marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
-    counts = np.empty(n_rows + len(fg.factors))
+    counts = np.empty_like(rows)
     for group, block in zip(groups, v):
         # bin r (k + 1) + s adds the entries of row r with s outliers, in mask order
         bins = np.arange(len(block))[:, None] * (group.k + 1) + _popcounts(group.k)

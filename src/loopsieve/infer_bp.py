@@ -16,7 +16,7 @@ one per cycle size k, each over all (factor, excluded slot) pairs at once:
 per group and iteration, one batched convolution over k - 1 members, with
 O(k^3) flops per factor and O(k) numpy calls. Each factor's weights over
 s = 0 .. k are exp(log p(z | s)) from
-:func:`~loopsieve.model.log_likelihood_rows`, rescaled by the factor's
+:meth:`~loopsieve.factorgraph.FactorGraph.evidence`, rescaled by the factor's
 maximum, which beliefs are invariant to and which guards against
 underflow. A factor's count marginals are the same convolution over all k
 of its messages, times its weights. The tests check the batches against
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .factorgraph import FactorGraph, InferenceResult, check_iteration_limits
-from .model import ModelParams, log_likelihood_rows
+from .model import ModelParams
 
 MESSAGE_FLOOR = 1e-300
 
@@ -99,7 +99,7 @@ def run_bp(
     """
     check_iteration_limits(max_iters, tol)
     groups = fg.cycle_groups
-    rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
+    rows, pi = fg.evidence(params)
     weights = []
     for group in groups:
         table = rows[group.count_rows]
@@ -108,7 +108,6 @@ def run_bp(
     inc_var = fg.incidence_var
     n_inc = len(inc_var)
     var_rows = fg.var_incidences
-    pi = np.array([params.prior(eid) for eid in fg.variables])
     prior = np.stack([pi, 1.0 - pi], axis=1)
     inc_prior = prior[inc_var]
     # Row i of others lists the other factor->variable messages into i's

@@ -1,13 +1,11 @@
 """Rotation algebra on SO(3).
 
-Hat/vee operators, exponential and logarithm maps, the geodesic angle, and
-first-order propagation of isotropic rotation noise through composition.
-All angles are in radians. Rotations are plain 3x3 numpy arrays.
+Hat/vee operators, exponential and logarithm maps, the geodesic angle,
+sampling of isotropic rotation noise and projection onto SO(3). All angles
+are in radians. Rotations are plain 3x3 numpy arrays.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,21 +17,6 @@ SKEW_TOL = 1e-8
 ORTHONORMAL_TOL = 1e-9
 
 _EYE3 = np.eye(3)
-
-
-@dataclass(frozen=True)
-class IsotropicGaussian:
-    """Zero-mean isotropic rotation noise with covariance sigma_sq * I3."""
-
-    sigma_sq: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma_sq) and self.sigma_sq >= 0.0):
-            raise ValueError(f"sigma_sq must be finite and >= 0, got {self.sigma_sq}")
-
-    @property
-    def sigma(self) -> float:
-        return float(np.sqrt(self.sigma_sq))
 
 
 def hat(eps) -> np.ndarray:
@@ -144,22 +127,6 @@ def geodesic_angle_many(rs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected an (n, 3, 3) array, got shape {a.shape}")
     traces = np.trace(a, axis1=1, axis2=2)
     return np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
-
-
-def compose_uncertain(
-    r2: np.ndarray,
-    g2: IsotropicGaussian,
-    r1: np.ndarray,
-    g1: IsotropicGaussian,
-) -> tuple[np.ndarray, IsotropicGaussian]:
-    """First-order composition of two uncertain rotations.
-
-    The mean composes as r2 @ r1; isotropic variances add because conjugating
-    an isotropic covariance by a rotation leaves it unchanged.
-    """
-    a2 = require_rotation(r2, what="r2")
-    a1 = require_rotation(r1, what="r1")
-    return a2 @ a1, IsotropicGaussian(g2.sigma_sq + g1.sigma_sq)
 
 
 def sample_noisy_rotation(r, sigma: float, rng) -> np.ndarray:

@@ -31,7 +31,7 @@ import numpy as np
 from loopsieve.cycles import Cycle, CycleBasis, _feedback_vertices, _orient_cycle
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
-from loopsieve.infer_admm import _project_rows, cycle_conditionals, marginalization_matrix
+from loopsieve.infer_admm import _project_rows, marginalization_matrix
 from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
 from loopsieve.model import (
     CycleFactor,
@@ -72,11 +72,21 @@ def log_likelihood_table(factor: CycleFactor, params: ModelParams) -> np.ndarray
 
 
 def cycle_conditional(factor: CycleFactor, params: ModelParams) -> np.ndarray:
-    """Posterior over the cycle's own 2^k configurations given its error alone.
+    """Posterior over the cycle's own 2^k configurations given its error alone,
+    as a loop over member bits.
 
     p(mask) is proportional to p(z | popcount(mask)) times the member priors.
     """
-    return cycle_conditionals((factor,), params)[0]
+    k = len(factor.lc_members)
+    masks = np.arange(1 << k)
+    log_p = log_likelihood_table(factor, params)[[bin(m).count("1") for m in masks]]
+    log_in, log_out = log_prior_vector(np.array([params.prior(e) for e in factor.lc_members]))
+    for j in range(k):
+        bit = (masks >> j) & 1
+        log_p = log_p + np.where(bit == 1, log_out[j], log_in[j])
+    log_p -= np.max(log_p)
+    p = np.exp(log_p)
+    return p / p.sum()
 
 
 def inlier_marginal(dist: np.ndarray, member_index: int) -> float:
@@ -185,11 +195,7 @@ def reference_candidate_basis(g: PoseGraph, roots) -> CycleBasis:
             rows = [kept ^ row if min(row) in kept else kept for kept in rows] + [row]
             basis.append(_orient_cycle(list(ids), endpoints))
 
-    lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
-    covered = frozenset(
-        eid for cycle in basis for eid in cycle.edge_ids if eid in lc_ids
-    )
-    return CycleBasis(tuple(basis), covered)
+    return CycleBasis(tuple(basis))
 
 
 # --- de Pina's cycle basis search on tuple-keyed lifted vertices ---------
@@ -226,11 +232,7 @@ def reference_minimum_cycle_basis(g: PoseGraph) -> CycleBasis:
                 witnesses[j] ^= witnesses[i]
         basis.append(_orient_cycle(sorted(cycle_edges), endpoints))
 
-    lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
-    covered = frozenset(
-        eid for cycle in basis for eid in cycle.edge_ids if eid in lc_ids
-    )
-    return CycleBasis(tuple(basis), covered)
+    return CycleBasis(tuple(basis))
 
 
 def _chords(adjacency, endpoints) -> list[int]:
@@ -351,9 +353,18 @@ def _split_into_simple_cycles(edge_set: set[int], endpoints) -> list[set[int]]:
 ENUMERATION_LIMIT = 22
 
 
+def var_factors(fg: FactorGraph) -> dict[int, tuple[int, ...]]:
+    """The factors each variable is a member of, in factor order."""
+    out: dict[int, list[int]] = {eid: [] for eid in fg.variables}
+    for f_idx, factor in enumerate(fg.factors):
+        for eid in factor.lc_members:
+            out[eid].append(f_idx)
+    return {eid: tuple(v) for eid, v in out.items()}
+
+
 def connected_components(fg: FactorGraph) -> list[tuple[list[int], list[int]]]:
     """(variable ids, factor indices) per connected block of the factor graph."""
-    var_factors = fg.var_factors
+    factors_of = var_factors(fg)
     seen_vars: set[int] = set()
     seen_factors: set[int] = set()
     components = []
@@ -367,7 +378,7 @@ def connected_components(fg: FactorGraph) -> list[tuple[list[int], list[int]]]:
         while stack:
             eid = stack.pop()
             vars_here.append(eid)
-            for f_idx in var_factors[eid]:
+            for f_idx in factors_of[eid]:
                 if f_idx in seen_factors:
                     continue
                 seen_factors.add(f_idx)
@@ -473,7 +484,7 @@ def var_to_factor(
 ) -> np.ndarray:
     """Product of the prior and all other incoming factor messages."""
     out = prior_message(params, edge_id).copy()
-    for other in fg.var_factors[edge_id]:
+    for other in var_factors(fg)[edge_id]:
         if other != f_idx:
             out = out * state.to_var[(other, edge_id)]
     return _normalize(out)
@@ -628,7 +639,7 @@ def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_T
                 delta = max(delta, float(np.max(np.abs(new - old))))
                 state.to_var[(f_idx, eid)] = new
         for eid in fg.variables:
-            for f_idx in fg.var_factors[eid]:
+            for f_idx in var_factors(fg)[eid]:
                 old = state.to_factor[(eid, f_idx)]
                 new = blend(old, var_to_factor(state, fg, params, eid, f_idx))
                 delta = max(delta, float(np.max(np.abs(new - old))))
@@ -640,7 +651,7 @@ def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_T
     marginals = {}
     for eid in fg.variables:
         belief = prior_message(params, eid)
-        for f_idx in fg.var_factors[eid]:
+        for f_idx in var_factors(fg)[eid]:
             belief = belief * state.to_var[(f_idx, eid)]
         marginals[eid] = belief[0] / belief.sum()
     counts = fold_by_count(factor_beliefs(state, fg, params))

@@ -245,14 +245,12 @@ class TestNewtonSubproblem:
 
 
 def step(marginals, duals, members_pos, rho, w_prev):
-    """consensus_step on per-cycle lists, each cycle a group of its own."""
+    """consensus_step on per-cycle lists, concatenated in order."""
     pos = np.concatenate(members_pos)
-    span = np.cumsum([0] + [len(p) for p in members_pos])
-    slices = [slice(a, b) for a, b in zip(span[:-1], span[1:])]
     w_prev = np.asarray(w_prev, dtype=float)
     return consensus_step(
         np.concatenate(marginals), np.concatenate(duals), pos,
-        np.bincount(pos, minlength=len(w_prev)), slices, w_prev, rho,
+        np.bincount(pos, minlength=len(w_prev)), w_prev, rho,
     )
 
 
@@ -322,8 +320,8 @@ class TestRelaxedStep:
         # adds rho (x_hat - w) = 0, while the primal residual measures the
         # unrelaxed gap 0.4 - 0.35
         w, y, r, t = consensus_step(
-            np.array([0.4]), np.zeros(1), np.array([0]), np.ones(1, np.intp), [slice(0, 1)],
-            np.array([0.5]), 2.0, 1.5,
+            np.array([0.4]), np.zeros(1), np.array([0]), np.ones(1, np.intp), np.array([0.5]),
+            2.0, 1.5,
         )
         assert w == pytest.approx([0.35])
         assert y == pytest.approx([0.0], abs=1e-15)
@@ -350,8 +348,8 @@ class TestResiduals:
         assert r > 0 and t > 0
 
     def test_per_edge_regrouping_identity(self, rng):
-        # r and t computed per group equal their sums over (edge, cycle)
-        # incidences
+        # t, computed per edge and weighted by its degree, and r equal
+        # their sums over (edge, cycle) incidences
         margs = [rng.uniform(0, 1, 2), rng.uniform(0, 1, 3)]
         duals = [rng.normal(0, 0.1, 2), rng.normal(0, 0.1, 3)]
         pos = [np.array([0, 1]), np.array([1, 2, 3])]

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
+from loopsieve import factorgraph
 from loopsieve.bench import DEFAULT_SIGMA, DEFAULT_SIGMA_BAR, classify
+from loopsieve.em import e_step
 from loopsieve.factorgraph import (
     EXACT_CLIQUE_LIMIT,
     FactorGraph,
@@ -39,6 +41,7 @@ from reference import (
     reference_bp,
     reference_count_convolution,
     reference_factor_messages,
+    var_factors,
     var_to_factor,
 )
 
@@ -63,10 +66,9 @@ class TestIncidence:
             CycleFactor(0, (0, 1), 0, 0.1),
             CycleFactor(1, (1, 2), 0, 0.2),
         ))
-        assert fg.var_factors is fg.var_factors
         assert fg.covered_variables is fg.covered_variables
-        assert fg.var_factors == {0: (0,), 1: (0, 1), 2: (1,), 9: ()}
         assert fg.covered_variables == (0, 1, 2)
+        assert var_factors(fg) == {0: (0,), 1: (0, 1), 2: (1,), 9: ()}
 
     def test_cycle_groups_in_first_appearance_order(self, rng):
         fg = mixed_k_fg(rng)
@@ -96,7 +98,7 @@ class TestIncidence:
         for eid, rows in zip(fg.variables, table):
             real = [r for r in rows.tolist() if r != sentinel]
             assert rows.tolist() == real + [sentinel] * (3 - len(real))
-            assert tuple(factor_of[real]) == fg.var_factors[eid]
+            assert tuple(factor_of[real]) == var_factors(fg)[eid]
         assert table[fg.variables.index(9)].tolist() == [sentinel] * 3
 
     def test_cached_arrays_are_read_only(self, rng):
@@ -112,6 +114,32 @@ class TestIncidence:
         assert fg.cycle_groups == ()
         assert fg.incidence_var.shape == (0,)
         assert fg.var_incidences.shape == (1, 0)
+
+
+class TestEvidence:
+    def test_rows_and_priors_in_factor_graph_order(self, rng):
+        fg = mixed_k_fg(rng)
+        p = ModelParams(0.03, 0.3, {eid: 0.1 * (i + 1) for i, eid in enumerate(fg.variables)})
+        rows, prior = fg.evidence(p)
+        expected = [
+            log_cycle_likelihood(f, s, p) for f in fg.factors for s in range(len(f.lc_members) + 1)
+        ]
+        assert rows.tolist() == expected
+        assert prior.tolist() == [p.prior(eid) for eid in fg.variables]
+
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    def test_each_back_end_builds_the_rows_once(self, rng, monkeypatch, method):
+        fg = mixed_k_fg(rng)
+        assert len(fg.cycle_groups) > 1
+        original, calls = factorgraph.log_likelihood_rows, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorgraph, "log_likelihood_rows", counting)
+        e_step(fg, uniform_params(fg.variables), method)
+        assert len(calls) == 1
 
 
 class TestLimits:
@@ -408,7 +436,7 @@ class TestRunBp:
                 for eid in factor.lc_members:
                     state.to_var[(f_idx, eid)] = factor_to_var(state, fg, p, f_idx, eid)
             for eid in fg.variables:
-                for f_idx in fg.var_factors[eid]:
+                for f_idx in var_factors(fg)[eid]:
                     state.to_factor[(eid, f_idx)] = var_to_factor(state, fg, p, eid, f_idx)
             for msg in list(state.to_var.values()) + list(state.to_factor.values()):
                 assert np.all(msg > 0)

@@ -16,6 +16,7 @@ from loopsieve.cycles import (
     minimum_cycle_basis,
     validate_cycle,
 )
+from loopsieve.factorgraph import build_factor_graph
 from loopsieve.graph import EdgeKind, Node, PoseGraph
 from loopsieve.so3 import exp_so3
 from loopsieve.synth import SynthSpec, generate, suite_specs
@@ -88,7 +89,7 @@ class TestMinimumCycleBasis:
         g = make_graph(4, [(0, 0, 1), (1, 1, 2), (2, 1, 3)])
         basis = minimum_cycle_basis(g)
         assert basis.cycles == ()
-        assert basis.covered_lc_edges == frozenset()
+        assert build_factor_graph(g, basis).covered_variables == ()
 
     def test_parallel_edges_form_two_cycle(self):
         g = make_graph(2, [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
@@ -139,7 +140,7 @@ class TestMinimumCycleBasis:
         basis = minimum_cycle_basis(g)
         lc_ids = {e.id for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
         # with two chain maps, every loop-closure edge lies in some cycle
-        assert basis.covered_lc_edges == lc_ids
+        assert set(build_factor_graph(g, basis).covered_variables) == lc_ids
 
     def test_synth_cycles_have_two_or_more_lc_members(self):
         g = generate(SynthSpec(m_lc=10, num_outliers=3, nodes_per_map=7, seed=2))

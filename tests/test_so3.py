@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopsieve.so3 import (
-    IsotropicGaussian,
-    compose_uncertain,
     exp_so3,
     exp_so3_many,
     geodesic_angle,
@@ -146,25 +144,9 @@ class TestGeodesicAngle:
 
 
 class TestComposeUncertain:
-    def test_identity_zero(self):
-        r, g = compose_uncertain(np.eye(3), IsotropicGaussian(0.0), np.eye(3), IsotropicGaussian(0.0))
-        assert np.array_equal(r, np.eye(3))
-        assert g.sigma_sq == 0.0
-
-    def test_variances_add(self, rng):
-        r2, r1 = exp_so3(random_tangent(rng)), exp_so3(random_tangent(rng))
-        mean, g = compose_uncertain(r2, IsotropicGaussian(0.0004), r1, IsotropicGaussian(0.0009))
-        assert np.allclose(mean, r2 @ r1)
-        assert abs(g.sigma_sq - 0.0013) < 1e-15
-
-    def test_variance_order_independent(self, rng):
-        r2, r1 = exp_so3(random_tangent(rng)), exp_so3(random_tangent(rng))
-        g_a = compose_uncertain(r2, IsotropicGaussian(0.01), r1, IsotropicGaussian(0.02))[1]
-        g_b = compose_uncertain(r1, IsotropicGaussian(0.02), r2, IsotropicGaussian(0.01))[1]
-        assert g_a.sigma_sq == g_b.sigma_sq
-
     def test_monte_carlo_covariance(self, rng):
-        # sampling oracle for the first-order composition rule
+        # sampling oracle for first-order composition: the isotropic
+        # covariances of two noisy rotations add
         sigma = 0.02
         n = 20_000
         r2, r1 = exp_so3(random_tangent(rng)), exp_so3(random_tangent(rng))
@@ -179,10 +161,6 @@ class TestComposeUncertain:
         expected = 2 * sigma**2 * np.eye(3)
         rel = np.linalg.norm(cov - expected) / np.linalg.norm(expected)
         assert rel < 0.05
-
-    def test_rejects_non_rotation(self):
-        with pytest.raises(ValueError):
-            compose_uncertain(np.ones((3, 3)), IsotropicGaussian(0.0), np.eye(3), IsotropicGaussian(0.0))
 
 
 class TestSampling:
@@ -246,8 +224,3 @@ class TestProjection:
     def test_idempotent_on_rotations(self, rng):
         r = exp_so3(random_tangent(rng))
         assert np.allclose(project_to_so3(r), r, atol=1e-12)
-
-
-def test_isotropic_gaussian_rejects_negative():
-    with pytest.raises(ValueError):
-        IsotropicGaussian(-1.0)
