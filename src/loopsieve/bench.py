@@ -23,9 +23,13 @@ from .factorgraph import InferenceMethod, build_factor_graph
 from .graph import PoseGraph, TruthLabel, loop_closure_edges
 from .model import ModelParams
 
-DEFAULT_SIGMA = math.radians(2.0)
-DEFAULT_SIGMA_BAR = math.radians(20.0)
+# The screening defaults, which the CLI reads too; noise scales in degrees
+DEFAULT_SIGMA_DEG = 2.0
+DEFAULT_SIGMA_BAR_DEG = 20.0
+DEFAULT_SIGMA = math.radians(DEFAULT_SIGMA_DEG)
+DEFAULT_SIGMA_BAR = math.radians(DEFAULT_SIGMA_BAR_DEG)
 DEFAULT_THRESHOLD = 0.5
+DEFAULT_METHOD = InferenceMethod.ADMM
 
 CSV_HEADER = "graph_id,m,outliers,method,tp,fp,fn,tn,precision,recall,f1,converged,iters,ms"
 
@@ -104,7 +108,7 @@ def result_from_marginals(
 def classify(
     g: PoseGraph,
     params: ModelParams | None = None,
-    method: InferenceMethod = InferenceMethod.ADMM,
+    method: InferenceMethod = DEFAULT_METHOD,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ClassificationResult:
     """Classify every loop-closure edge of one graph.

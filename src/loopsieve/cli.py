@@ -2,7 +2,8 @@
 
 Subcommands: mcb, infer, classify, em, synth (with a `suite` subcommand),
 and bench. Noise scales on the command line are in degrees; everything
-internal is radians.
+internal is radians. Defaults are `bench`'s screening defaults and, for
+`em --method`, `EmConfig`'s. `infer` runs its back-end through `em.e_step`.
 """
 
 from __future__ import annotations
@@ -10,11 +11,13 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import time
 from pathlib import Path
 
 import click
 
 from . import bench as bench_mod
+from . import em as em_mod
 from . import synth as synth_mod
 from .cycles import CycleError, cycle_errors, minimum_cycle_basis
 from .em import EmConfig, InferenceMethod, run_em
@@ -27,7 +30,6 @@ from .graph import (
     parse_graph,
     write_graph,
 )
-from .infer_admm import AdmmOptions
 from .model import ModelParams
 
 
@@ -57,7 +59,20 @@ def _params_from(g: PoseGraph, sigma_deg: float, sigma_bar_deg: float) -> ModelP
     )
 
 
-_METHOD = click.Choice([m.value for m in InferenceMethod])
+def _method_option(default: InferenceMethod):
+    return click.option("--method", type=click.Choice([m.value for m in InferenceMethod]),
+                        default=default.value, show_default=True)
+
+
+def _params_option(help: str = "sigma and sigma_bar in degrees."):
+    return click.option("--params", "params_deg", nargs=2, type=float, show_default=True,
+                        default=(bench_mod.DEFAULT_SIGMA_DEG, bench_mod.DEFAULT_SIGMA_BAR_DEG),
+                        help=help)
+
+
+_threshold_option = click.option(
+    "--threshold", type=float, default=bench_mod.DEFAULT_THRESHOLD, show_default=True
+)
 
 
 @click.group()
@@ -79,9 +94,8 @@ def mcb(graph_file: str) -> None:
 
 @main.command()
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=_METHOD, default="admm", show_default=True)
-@click.option("--params", "params_deg", nargs=2, type=float, default=(2.0, 20.0),
-              show_default=True, help="sigma and sigma_bar in degrees.")
+@_method_option(bench_mod.DEFAULT_METHOD)
+@_params_option()
 @click.option("--rho0", type=float, default=None,
               help="Initial penalty (admm only)  [default: 1.0]")
 @click.option("--max-iters", type=int, default=None, help="Iteration cap (bp, admm).")
@@ -91,47 +105,29 @@ def mcb(graph_file: str) -> None:
 @_friendly_errors
 def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> None:
     """Run inference and print per-edge inlier probabilities as TSV."""
-    for flag, value, users in (
-        ("--rho0", rho0, ("admm",)),
-        ("--max-iters", max_iters, ("bp", "admm")),
-        ("--tol", tol, ("bp", "admm")),
-        ("--trace", trace_path, ("admm",)),
+    options = {}
+    for flag, name, value, users in (
+        ("--rho0", "rho0", rho0, ("admm",)),
+        ("--max-iters", "max_iters", max_iters, ("bp", "admm")),
+        ("--tol", "tol", tol, ("bp", "admm")),
+        ("--trace", "record_trace", None if trace_path is None else True, ("admm",)),
     ):
-        if value is not None and method not in users:
+        if value is None:
+            continue
+        if method not in users:
             raise click.UsageError(f"{flag} is {' and '.join(users)} only, not {method}")
+        options[name] = value
     g = _load_graph(graph_file)
-    params = _params_from(g, *params_deg)
-    basis = minimum_cycle_basis(g)
-    fg = build_factor_graph(g, basis)
-    limits = {
-        name: value for name, value in (("max_iters", max_iters), ("tol", tol))
-        if value is not None
-    }
-    method_enum = InferenceMethod(method)
-    if method_enum is InferenceMethod.BP:
-        from .infer_bp import run_bp
-
-        result = run_bp(fg, params, **limits)
-    elif method_enum is InferenceMethod.ADMM:
-        from .infer_admm import run_admm
-
-        if rho0 is not None:
-            limits["rho0"] = rho0
-        result = run_admm(
-            fg, params, AdmmOptions(**limits, record_trace=trace_path is not None)
-        )
-        if trace_path is not None:
-            lines = ["iter,r,t,rho,steps"]
-            for row in result.trace:
-                lines.append(
-                    f"{row.iteration},{row.primal_residual:.9g},"
-                    f"{row.dual_residual:.9g},{row.rho:.9g},{row.subproblem_steps}"
-                )
-            Path(trace_path).write_text("\n".join(lines) + "\n")
-    else:
-        from .factorgraph import exact_marginals
-
-        result = exact_marginals(fg, params)
+    fg = build_factor_graph(g, minimum_cycle_basis(g))
+    result = em_mod.e_step(fg, _params_from(g, *params_deg), InferenceMethod(method), **options)
+    if trace_path is not None:
+        lines = ["iter,r,t,rho,steps"]
+        for row in result.trace:
+            lines.append(
+                f"{row.iteration},{row.primal_residual:.9g},"
+                f"{row.dual_residual:.9g},{row.rho:.9g},{row.subproblem_steps}"
+            )
+        Path(trace_path).write_text("\n".join(lines) + "\n")
     click.echo("edge_id\tp_inlier")
     for eid in fg.variables:
         click.echo(f"{eid}\t{result.edge_marginals[eid]:.9f}")
@@ -143,10 +139,9 @@ def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> N
 
 @main.command()
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=_METHOD, default="admm", show_default=True)
-@click.option("--threshold", type=float, default=0.5, show_default=True)
-@click.option("--params", "params_deg", nargs=2, type=float, default=(2.0, 20.0),
-              show_default=True, help="sigma and sigma_bar in degrees.")
+@_method_option(bench_mod.DEFAULT_METHOD)
+@_threshold_option
+@_params_option()
 @click.option("--em", "use_em", is_flag=True, help="Estimate parameters by EM first.")
 @click.option("--rounds", type=int, default=10, show_default=True, help="EM rounds.")
 @click.option("--freeze-priors", is_flag=True)
@@ -156,8 +151,6 @@ def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_p
     g = _load_graph(graph_file)
     method_enum = InferenceMethod(method)
     if use_em:
-        import time
-
         start = time.perf_counter()
         basis = minimum_cycle_basis(g)
         fg = build_factor_graph(g, basis)
@@ -196,11 +189,10 @@ def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_p
 
 @main.command()
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=_METHOD, default="exact", show_default=True)
+@_method_option(EmConfig.inference)
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--freeze-priors", is_flag=True)
-@click.option("--params", "params_deg", nargs=2, type=float, default=(2.0, 20.0),
-              show_default=True, help="Initial sigma and sigma_bar in degrees.")
+@_params_option("Initial sigma and sigma_bar in degrees.")
 @click.option("-o", "output", type=click.Path(dir_okay=False), default=None,
               help="Write the trace CSV here instead of stdout.")
 @_friendly_errors
@@ -294,9 +286,8 @@ def suite(scale, seed, m_min, m_max, m_step, nodes_per_map, output_dir) -> None:
 @click.argument("suite_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--methods", default="bp,admm", show_default=True,
               help="Comma-separated: bp, admm, exact.")
-@click.option("--threshold", type=float, default=0.5, show_default=True)
-@click.option("--params", "params_deg", nargs=2, type=float, default=(2.0, 20.0),
-              show_default=True, help="sigma and sigma_bar in degrees.")
+@_threshold_option
+@_params_option()
 @click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--timing", is_flag=True,
               help="Report wall time per run; breaks byte-reproducibility.")

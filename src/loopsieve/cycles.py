@@ -88,28 +88,13 @@ def validate_cycle(g: PoseGraph, cycle: Cycle) -> None:
         raise CycleError("walk does not return to its start vertex")
 
 
-def cycle_rotation(g: PoseGraph, cycle: Cycle) -> np.ndarray:
-    """Product of edge rotations along the walk (transposed when reversed)."""
-    validate_cycle(g, cycle)
-    total = np.eye(3)
-    for edge_id, direction in cycle.steps:
-        rot = g.edge_by_id[edge_id].rotation
-        step = rot if direction is Direction.FORWARD else rot.T
-        total = step @ total
-    return total
-
-
-def cycle_error(g: PoseGraph, cycle: Cycle) -> float:
-    """Geodesic angle of the composed rotation around the cycle, in [0, pi]."""
-    return so3.geodesic_angle(cycle_rotation(g, cycle))
-
-
-def cycle_errors(g: PoseGraph, cycles) -> np.ndarray:
-    """:func:`cycle_error` of each cycle, as one float64 array.
+def _compose(g: PoseGraph, cycles) -> np.ndarray:
+    """Each cycle's product of edge rotations along the walk (transposed when
+    reversed), as one (n, 3, 3) array.
 
     Step j of every cycle is composed in one stacked product; cycles shorter
     than the longest are padded with identity steps, which leave the product
-    as it is, so each value equals :func:`cycle_error`'s bit for bit.
+    as it is.
     """
     for cycle in cycles:
         validate_cycle(g, cycle)
@@ -121,7 +106,22 @@ def cycle_errors(g: PoseGraph, cycles) -> np.ndarray:
     total = np.tile(np.eye(3), (len(cycles), 1, 1))
     for step in steps:
         total = step @ total
-    return so3.geodesic_angle_many(total)
+    return total
+
+
+def cycle_rotation(g: PoseGraph, cycle: Cycle) -> np.ndarray:
+    """Product of edge rotations along the walk (transposed when reversed)."""
+    return _compose(g, (cycle,))[0]
+
+
+def cycle_error(g: PoseGraph, cycle: Cycle) -> float:
+    """Geodesic angle of the composed rotation around the cycle, in [0, pi]."""
+    return so3.geodesic_angle(cycle_rotation(g, cycle))
+
+
+def cycle_errors(g: PoseGraph, cycles) -> np.ndarray:
+    """:func:`cycle_error` of each cycle, as one float64 array."""
+    return so3.geodesic_angle_many(_compose(g, cycles))
 
 
 def minimum_cycle_basis(g: PoseGraph) -> CycleBasis:

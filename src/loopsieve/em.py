@@ -25,7 +25,7 @@ from .factorgraph import (
     InferenceResult,
     exact_marginals,
 )
-from .infer_admm import run_admm
+from .infer_admm import AdmmOptions, run_admm
 from .infer_bp import run_bp
 from .model import ModelParams, log_likelihood_rows
 
@@ -101,21 +101,22 @@ class EmTrace:
 
 
 def e_step(
-    fg: FactorGraph, params: ModelParams, method: InferenceMethod
+    fg: FactorGraph, params: ModelParams, method: InferenceMethod, **options
 ) -> InferenceResult:
     """Edge responsibilities and count marginals under the current
     parameters.
 
-    This is the library's one map from an InferenceMethod to its back-end,
-    each run with its default settings; `bench.classify` screens through
-    it too.
+    This is the library's one map from an InferenceMethod to its back-end;
+    `bench.classify` and `cli infer` screen through it too. `options` go to
+    the back-end as they are: run_bp's keywords, AdmmOptions' fields, or
+    none for exact, which raises TypeError on any.
     """
     if method is InferenceMethod.EXACT:
-        return exact_marginals(fg, params)
+        return exact_marginals(fg, params, **options)
     if method is InferenceMethod.BP:
-        return run_bp(fg, params)
+        return run_bp(fg, params, **options)
     if method is InferenceMethod.ADMM:
-        return run_admm(fg, params)
+        return run_admm(fg, params, AdmmOptions(**options))
     raise ValueError(f"unknown inference method {method}")
 
 
@@ -124,8 +125,8 @@ def m_step_priors(
 ) -> dict[int, float]:
     """Each loop-closure prior becomes the edge's inlier responsibility."""
     return {
-        eid: min(1.0, max(0.0, float(edge_marginals.get(eid, params.prior(eid)))))
-        for eid in params.priors
+        eid: min(1.0, max(0.0, float(edge_marginals.get(eid, prior))))
+        for eid, prior in params.priors.items()
     }
 
 

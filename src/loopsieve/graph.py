@@ -110,10 +110,6 @@ class PoseGraph:
                     )
 
     @cached_property
-    def node_by_id(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
     def edge_by_id(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 

@@ -316,18 +316,13 @@ def consensus_step(
 
 
 def update_rho(rho: float, r: float, t: float) -> float:
-    """Penalty schedule: grow when r <= RHO_MU t, shrink when t <= RHO_MU r,
-    and leave rho unchanged when both tests fire at once.
-
-    With r the dual and t the primal residual, as :func:`run_admm` calls
-    it, this is residual balancing: rho grows when the primal residual
-    exceeds RHO_MU times the dual one and shrinks in the opposite case.
-    """
-    grow = r <= RHO_MU * t
-    shrink = t <= RHO_MU * r
-    if grow and not shrink:
+    """Residual balancing (Boyd et al. 2011, section 3.4.1), with r the dual
+    and t the primal residual, as :func:`run_admm` calls it: rho grows when
+    t exceeds RHO_MU r, shrinks when r exceeds RHO_MU t, and stays as it is
+    otherwise, NaN included."""
+    if t > RHO_MU * r:
         rho = rho * RHO_TAU
-    elif shrink and not grow:
+    elif r > RHO_MU * t:
         rho = rho / RHO_TAU
     return float(np.clip(rho, RHO_MIN, RHO_MAX))
 

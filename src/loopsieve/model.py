@@ -83,10 +83,6 @@ class CycleFactor:
         if not 0.0 <= self.z <= math.pi + 1e-12:
             raise ValueError(f"cycle {self.cycle_id}: z must be in [0, pi], got {self.z}")
 
-    @property
-    def length(self) -> int:
-        return self.n_fixed + len(self.lc_members)
-
 
 def truncated_gaussian_mass(sigma: float) -> float:
     """Integral of exp(-t^2 / (2 sigma^2)) over [0, pi]."""

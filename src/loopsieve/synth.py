@@ -178,7 +178,3 @@ def generate_suite(
     """The full benchmark grid: for each m, sweep outlier counts 1 .. m-1."""
     for spec in suite_specs(m_values, seed, scale, nodes_per_map, noiseless_ego):
         yield spec, generate(spec)
-
-
-def suite_size(m_values: Sequence[int] = DEFAULT_M_VALUES, scale: float = 1.0) -> int:
-    return sum(len(outlier_counts(m, scale)) for m in m_values)

@@ -28,7 +28,15 @@ from typing import Mapping
 
 import numpy as np
 
-from loopsieve.cycles import Cycle, CycleBasis, _feedback_vertices, _orient_cycle
+from loopsieve import so3
+from loopsieve.cycles import (
+    Cycle,
+    CycleBasis,
+    Direction,
+    _feedback_vertices,
+    _orient_cycle,
+    validate_cycle,
+)
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
 from loopsieve.infer_admm import _project_rows, marginalization_matrix
@@ -134,6 +142,20 @@ def joint_log_density(
         s = sum(x[eid] for eid in factor.lc_members)
         total += log_cycle_likelihood(factor, s, params)
     return total
+
+
+# --- the cycle error, one step at a time ---------------------------------
+
+
+def reference_cycle_error(g: PoseGraph, cycle: Cycle) -> float:
+    """Geodesic angle of the cycle's rotation, composed one step at a time."""
+    validate_cycle(g, cycle)
+    total = np.eye(3)
+    for edge_id, direction in cycle.steps:
+        rot = g.edge_by_id[edge_id].rotation
+        step = rot if direction is Direction.FORWARD else rot.T
+        total = step @ total
+    return so3.geodesic_angle(total)
 
 
 # --- the cycle basis: Horton candidates, one explicit path at a time ------

@@ -419,14 +419,35 @@ class TestOptions:
 
 
 class TestUpdateRho:
-    def test_grow_when_dual_dominates(self):
+    # update_rho(rho, r, t): r is the dual residual, t the primal one
+    def test_grow_when_primal_dominates(self):
         assert update_rho(1.0, 0.01, 10.0) == 2.0
 
-    def test_shrink_when_primal_dominates(self):
+    def test_shrink_when_dual_dominates(self):
         assert update_rho(1.0, 10.0, 0.01) == 0.5
 
     def test_tie_unchanged(self):
         assert update_rho(1.0, 1.0, 1.0) == 1.0
+
+    @pytest.mark.parametrize(
+        "r, t, expected",
+        [
+            (1.0, 10.0, 1.0),  # a ratio of exactly RHO_MU moves nothing
+            (10.0, 1.0, 1.0),
+            (0.0, 0.0, 1.0),
+            (0.0, 1e-300, 2.0),
+            (1e-300, 0.0, 0.5),
+            (1.0, math.inf, 2.0),
+            (math.inf, 1.0, 0.5),
+            (math.inf, math.inf, 1.0),
+            (math.inf, 0.0, 0.5),
+            (math.nan, 1.0, 1.0),
+            (1.0, math.nan, 1.0),
+            (math.nan, math.nan, 1.0),
+        ],
+    )
+    def test_ties_zeros_inf_and_nan(self, r, t, expected):
+        assert update_rho(1.0, r, t) == expected
 
     def test_clamped(self):
         assert update_rho(1e4, 0.0, 1.0) == 1e4

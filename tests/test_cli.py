@@ -4,8 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import loop_closure_ring
+from loopsieve import bench
 from loopsieve.cli import main
-from loopsieve.graph import graph_to_text
+from loopsieve.factorgraph import InferenceMethod
+from loopsieve.graph import graph_to_text, parse_graph
 from loopsieve.infer_admm import DEFAULT_LC_CAP
 from loopsieve.synth import SynthSpec, generate
 
@@ -35,6 +37,35 @@ def test_infer_outputs_marginals(tmp_path):
     lines = result.output.splitlines()
     assert lines[0] == "edge_id\tp_inlier"
     assert len(lines) >= 9  # 8 edges + header
+
+
+@pytest.mark.parametrize(
+    "method, args, options",
+    [
+        ("bp", ["--max-iters", "7", "--tol", "1e-3"], {"max_iters": 7, "tol": 1e-3}),
+        ("admm", ["--rho0", "2", "--trace", "t.csv"], {"rho0": 2.0, "record_trace": True}),
+        ("exact", [], {}),
+    ],
+)
+def test_infer_dispatches_through_em_e_step(tmp_path, monkeypatch, method, args, options):
+    # one wrapper on loopsieve.em.e_step sees the screening, with the
+    # options that infer forwards to the back-end
+    import loopsieve.em as em
+
+    seen = []
+    original = em.e_step
+
+    def recording(fg, params, m, **kwargs):
+        seen.append((m, kwargs))
+        return original(fg, params, m, **kwargs)
+
+    monkeypatch.setattr(em, "e_step", recording)
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    args = [str(tmp_path / a) if a.endswith(".csv") else a for a in args]
+    result = CliRunner().invoke(main, ["infer", str(graph_file), "--method", method, *args])
+    assert result.exit_code == 0, result.output
+    assert seen == [(InferenceMethod(method), options)]
+
 
 def test_infer_admm_trace(tmp_path):
     graph_file = write_small_graph(tmp_path / "g.pgraph")
@@ -128,6 +159,18 @@ def test_classify_tsv(tmp_path):
     body = [l for l in lines[1:] if "\t" in l]
     assert len(body) == 8
     assert all(l.split("\t")[2] in ("IN", "OUT") for l in body)
+
+
+def test_classify_defaults_are_bench_classify(tmp_path):
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    result = CliRunner().invoke(main, ["classify", str(graph_file)])
+    assert result.exit_code == 0, result.output
+    body = [l.split("\t")[:3] for l in result.output.splitlines()[1:] if "\t" in l]
+    expected = bench.classify(parse_graph(graph_file.read_text().splitlines()))
+    assert body == [
+        [str(call.edge_id), f"{call.p_inlier:.9f}", call.predicted.value]
+        for call in expected.edges
+    ]
 
 
 def test_classify_cycle_over_cap_fails_with_one_line(tmp_path):

@@ -20,7 +20,12 @@ from loopsieve.factorgraph import build_factor_graph
 from loopsieve.graph import EdgeKind, Node, PoseGraph
 from loopsieve.so3 import exp_so3
 from loopsieve.synth import SynthSpec, generate, suite_specs
-from reference import library_roots, reference_candidate_basis, reference_minimum_cycle_basis
+from reference import (
+    library_roots,
+    reference_candidate_basis,
+    reference_cycle_error,
+    reference_minimum_cycle_basis,
+)
 
 
 def basis_edge_sets(basis):
@@ -324,7 +329,8 @@ class TestCycleErrors:
             cycles = minimum_cycle_basis(g).cycles
             z = cycle_errors(g, cycles)
             assert z.dtype == np.float64 and z.shape == (len(cycles),)
-            assert z.tolist() == [cycle_error(g, c) for c in cycles]
+            assert z.tolist() == [reference_cycle_error(g, c) for c in cycles]
+            assert [cycle_error(g, c) for c in cycles] == z.tolist()
 
     def test_no_cycles(self):
         g = make_graph(2, [(0, 0, 1)])

@@ -171,6 +171,20 @@ class TestEStep:
             result = e_step(fg, p, method)
             assert result.edge_marginals[5] == pytest.approx(0.9, abs=1e-9)
 
+    def test_options_reach_the_back_end(self):
+        factors = (CycleFactor(0, (0, 1), 2, 0.05), CycleFactor(1, (1, 2), 2, 0.5))
+        fg = FactorGraph((0, 1, 2), factors)
+        p = uniform_params((0, 1, 2))
+        assert e_step(fg, p, InferenceMethod.BP).iterations > 1
+        assert e_step(fg, p, InferenceMethod.BP, max_iters=1).iterations == 1
+        assert e_step(fg, p, InferenceMethod.ADMM).trace == ()
+        assert len(e_step(fg, p, InferenceMethod.ADMM, record_trace=True).trace) > 0
+
+    def test_exact_takes_no_options(self):
+        fg = FactorGraph((0, 1), (CycleFactor(0, (0, 1), 1, 0.3),))
+        with pytest.raises(TypeError):
+            e_step(fg, uniform_params((0, 1)), InferenceMethod.EXACT, max_iters=5)
+
 
 class TestMStepPriors:
     def test_sets_prior_to_responsibility(self):

@@ -12,7 +12,6 @@ from loopsieve.synth import (
     generate,
     generate_suite,
     outlier_counts,
-    suite_size,
     suite_specs,
 )
 
@@ -106,12 +105,9 @@ class TestGenerate:
     def test_ego_chain_per_map(self):
         spec = SynthSpec(m_lc=6, num_outliers=1, nodes_per_map=7, seed=0)
         g = generate(spec)
+        map_of = {n.id: n.map_id for n in g.nodes}
         for map_id in (0, 1):
-            ego = [
-                e
-                for e in g.edges
-                if e.kind is EdgeKind.EGO and g.node_by_id[e.src].map_id == map_id
-            ]
+            ego = [e for e in g.edges if e.kind is EdgeKind.EGO and map_of[e.src] == map_id]
             assert len(ego) == 6
             assert all(e.dst == e.src + 1 for e in ego)
 
@@ -149,17 +145,17 @@ class TestSuite:
         assert len(counts) == 5
 
     def test_m10_gives_nine_graphs(self):
-        assert suite_size([10]) == 9
+        assert len(suite_specs([10])) == 9
 
     def test_full_grid_size_closed_form(self):
         # sum over m in {10, 15, ..., 200} of (m - 1)
         expected = sum(m - 1 for m in DEFAULT_M_VALUES)
         assert expected == 4056
-        assert suite_size() == expected
+        assert len(suite_specs()) == expected
 
     def test_scaled_suite_fraction(self):
-        full = suite_size()
-        scaled = suite_size(scale=0.1)
+        full = len(suite_specs())
+        scaled = len(suite_specs(scale=0.1))
         assert 0.08 * full <= scaled <= 0.12 * full
 
     def test_specs_deterministic(self):
