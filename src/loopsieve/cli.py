@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import bench as bench_mod
 from . import em as em_mod
@@ -96,18 +97,15 @@ def mcb(graph_file: str) -> None:
 @click.argument("graph_file", type=click.Path(exists=True, dir_okay=False))
 @_method_option(bench_mod.DEFAULT_METHOD)
 @_params_option()
-@click.option("--rho0", type=float, default=None,
-              help="Initial penalty (admm only)  [default: 1.0]")
 @click.option("--max-iters", type=int, default=None, help="Iteration cap (bp, admm).")
 @click.option("--tol", type=float, default=None, help="Convergence tolerance (bp, admm).")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
-              help="Write a per-iteration r,t,rho,steps CSV (admm only).")
+              help="Write a per-iteration iter,r,t,steps CSV (admm only).")
 @_friendly_errors
-def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> None:
+def infer(graph_file, method, params_deg, max_iters, tol, trace_path) -> None:
     """Run inference and print per-edge inlier probabilities as TSV."""
     options = {}
     for flag, name, value, users in (
-        ("--rho0", "rho0", rho0, ("admm",)),
         ("--max-iters", "max_iters", max_iters, ("bp", "admm")),
         ("--tol", "tol", tol, ("bp", "admm")),
         ("--trace", "record_trace", None if trace_path is None else True, ("admm",)),
@@ -121,11 +119,11 @@ def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> N
     fg = build_factor_graph(g, minimum_cycle_basis(g))
     result = em_mod.e_step(fg, _params_from(g, *params_deg), InferenceMethod(method), **options)
     if trace_path is not None:
-        lines = ["iter,r,t,rho,steps"]
+        lines = ["iter,r,t,steps"]
         for row in result.trace:
             lines.append(
                 f"{row.iteration},{row.primal_residual:.9g},"
-                f"{row.dual_residual:.9g},{row.rho:.9g},{row.subproblem_steps}"
+                f"{row.dual_residual:.9g},{row.subproblem_steps}"
             )
         Path(trace_path).write_text("\n".join(lines) + "\n")
     click.echo("edge_id\tp_inlier")
@@ -143,11 +141,17 @@ def infer(graph_file, method, params_deg, rho0, max_iters, tol, trace_path) -> N
 @_threshold_option
 @_params_option()
 @click.option("--em", "use_em", is_flag=True, help="Estimate parameters by EM first.")
-@click.option("--rounds", type=int, default=10, show_default=True, help="EM rounds.")
-@click.option("--freeze-priors", is_flag=True)
+@click.option("--rounds", type=int, default=10, show_default=True,
+              help="EM rounds (--em only).")
+@click.option("--freeze-priors", is_flag=True, help="Do not refit the edge priors (--em only).")
 @_friendly_errors
 def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_priors) -> None:
     """Label each loop-closure edge; outliers have inlier probability < threshold."""
+    if not use_em:
+        ctx = click.get_current_context()
+        for name in ("rounds", "freeze_priors"):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                raise click.UsageError(f"--{name.replace('_', '-')} is --em only")
     g = _load_graph(graph_file)
     method_enum = InferenceMethod(method)
     if use_em:

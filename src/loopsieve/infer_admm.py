@@ -26,14 +26,12 @@ each edge's terms in this order, so the order fixes the last bits of w.
 Only cycles with k <= DEFAULT_LC_CAP members are solved, since each v_c
 has 2^k entries; run_admm raises CycleCapError before building any table.
 
-The penalty rho follows the residual-balancing rule of Boyd et al.,
-"Distributed Optimization and Statistical Learning via ADMM" (2011,
-section 3.4.1) for the first RHO_FREEZE_AFTER iterations: it doubles when
-the primal residual exceeds ten times the dual residual, halves in the
-opposite case, and stays within [1e-4, 1e4]. y is the unscaled dual and
-is kept when rho changes; only a scaled dual u = y / rho would need
-rescaling (section 3.4.1). After that rho is fixed, which is plain ADMM
-with its convergence guarantee.
+The penalty is fixed at RHO = 2, which is plain ADMM with its
+convergence guarantee (Boyd et al., "Distributed Optimization and
+Statistical Learning via ADMM", 2011, section 3.2). Every variable is a
+probability, so the problem is well scaled, and residual balancing
+(section 3.4.1) gains nothing here: on the synth suites a fixed 2 takes
+fewer iterations than the adaptive rule, and 1, 4 or 8 more.
 
 The consensus step is over-relaxed (Boyd et al. 2011, section 3.4.3): the
 w-update and the dual step read x_hat_c = RELAXATION * P_c v_c +
@@ -46,7 +44,6 @@ residual stays sum_c ||P_c v_c - w_c||^2 on the unrelaxed marginals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,16 +52,8 @@ from .factorgraph import FactorGraph, InferenceResult, check_iteration_limits
 from .model import ModelParams, _popcounts, log_prior_vector
 
 
-# Residual balancing (see update_rho): rho is multiplied or divided by
-# RHO_TAU when one residual exceeds RHO_MU times the other, within
-# [RHO_MIN, RHO_MAX].
-RHO_MU = 10.0
-RHO_TAU = 2.0
-RHO_MIN = 1e-4
-RHO_MAX = 1e4
-# Adapting rho forever can limit-cycle near the solution; after this many
-# iterations the penalty stays fixed, restoring plain (convergent) ADMM.
-RHO_FREEZE_AFTER = 100
+# The augmented Lagrangian's penalty, the same in every iteration.
+RHO = 2.0
 # Over-relaxation of the consensus step (Boyd et al. 2011, section 3.4.3);
 # any value in (0, 2) keeps ADMM's convergence (Eckstein & Bertsekas 1992),
 # and 1 is plain ADMM.
@@ -74,8 +63,8 @@ RELAXATION = 1.7
 # step t along the Newton direction once g gains ARMIJO_FRACTION * t times
 # its initial slope along that direction.
 # Warm-started from the previous iteration, a batch takes 1-6 steps on the
-# synth suites, and an iteration at most 8 summed over its groups; cold
-# starts at rho = 1e4 can take over a hundred at k = 5.
+# synth suites; cold starts at RHO take at most about a dozen at k <= 5,
+# and at rho = 1e4 over a hundred.
 NEWTON_MAX_STEPS = 500
 ARMIJO_FRACTION = 1e-4
 EPS = float(np.finfo(float).eps)
@@ -99,30 +88,24 @@ class CycleCapError(ValueError):
 class AdmmOptions:
     """Solver settings.
 
-    rho0 is the initial penalty. rho then follows residual balancing
-    (RHO_MU = 10, RHO_TAU = 2, clipped to [RHO_MIN, RHO_MAX] = [1e-4, 1e4];
-    see :func:`update_rho`) for RHO_FREEZE_AFTER = 100 iterations and stays
-    fixed afterwards. The run stops after max_iters iterations or once both
-    residuals are at most tol, scaled by the square root of the (edge,
-    cycle) incidence count when scale_tol is set. record_trace keeps
-    per-iteration statistics. Construction raises ValueError unless rho0 is
-    finite and > 0, max_iters >= 1 and tol is finite and >= 0.
+    The run stops after max_iters iterations or once both residuals are
+    at most tol, scaled by the square root of the (edge, cycle) incidence
+    count when scale_tol is set. record_trace keeps per-iteration
+    statistics. Construction raises ValueError unless max_iters >= 1 and
+    tol is finite and >= 0.
 
-    The consensus step is over-relaxed by RELAXATION = 1.7 (Boyd et al.
-    2011, section 3.4.3), which keeps the fixed point and, for any value in
-    (0, 2), the convergence guarantee (Eckstein & Bertsekas, Math.
-    Programming 1992); it is a module constant, not an option.
+    The penalty RHO = 2 and the over-relaxation RELAXATION = 1.7 of the
+    consensus step (Boyd et al. 2011, section 3.4.3) are module constants,
+    not options. Any relaxation in (0, 2) keeps the fixed point and the
+    convergence guarantee (Eckstein & Bertsekas, Math. Programming 1992).
     """
 
-    rho0: float = 1.0
     max_iters: int = 500
     tol: float = 1e-6
     scale_tol: bool = True
     record_trace: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho0) and self.rho0 > 0.0):
-            raise ValueError(f"rho0 must be finite and > 0, got {self.rho0}")
         check_iteration_limits(self.max_iters, self.tol)
 
 
@@ -131,7 +114,6 @@ class AdmmIterationStats:
     iteration: int
     primal_residual: float
     dual_residual: float
-    rho: float
     max_simplex_gap: float  # worst |1^T v - 1| across cycles
     min_v: float
     w_min: float
@@ -141,7 +123,6 @@ class AdmmIterationStats:
 
 @dataclass(frozen=True)
 class AdmmResult(InferenceResult):
-    rho_final: float = 1.0
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")
     trace: tuple[AdmmIterationStats, ...] = field(default_factory=tuple)
@@ -315,18 +296,6 @@ def consensus_step(
     return w, y + rho * (relaxed - w_rows), primal, dual
 
 
-def update_rho(rho: float, r: float, t: float) -> float:
-    """Residual balancing (Boyd et al. 2011, section 3.4.1), with r the dual
-    and t the primal residual, as :func:`run_admm` calls it: rho grows when
-    t exceeds RHO_MU r, shrinks when r exceeds RHO_MU t, and stays as it is
-    otherwise, NaN included."""
-    if t > RHO_MU * r:
-        rho = rho * RHO_TAU
-    elif r > RHO_MU * t:
-        rho = rho / RHO_TAU
-    return float(np.clip(rho, RHO_MIN, RHO_MAX))
-
-
 def run_admm(
     fg: FactorGraph,
     params: ModelParams,
@@ -361,13 +330,12 @@ def run_admm(
     marginals = np.empty(n_rows)
     y = np.zeros(n_rows)
     v = list(v_hat)
-    rho = opts.rho0
 
     # Warm start w at the average of the incident data-only marginals,
     # and uncovered edges at their prior.
     for group, block, p in zip(groups, v, p_matrices):
         marginals[group.rows] = block @ p.T
-    w = consensus_step(marginals, y, pos, degree, prior, rho)[0]
+    w = consensus_step(marginals, y, pos, degree, prior, RHO)[0]
 
     eps = opts.tol * (np.sqrt(max(n_rows, 1)) if opts.scale_tol else 1.0)
 
@@ -380,19 +348,18 @@ def run_admm(
         steps = 0
         for g, (group, p) in enumerate(zip(groups, p_matrices)):
             v[g], group_steps = _solve_batch(
-                v[g], v_hat[g], y[group.rows], w[member_pos[g]], rho, p
+                v[g], v_hat[g], y[group.rows], w[member_pos[g]], RHO, p
             )
             steps += group_steps
             marginals[group.rows] = v[g] @ p.T
 
-        w, y, primal, dual = consensus_step(marginals, y, pos, degree, w, rho, RELAXATION)
+        w, y, primal, dual = consensus_step(marginals, y, pos, degree, w, RHO, RELAXATION)
         if opts.record_trace:
             trace.append(
                 AdmmIterationStats(
                     iterations,
                     primal,
                     dual,
-                    rho,
                     max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in v)
                     if v else 0.0,
                     min(float(block.min()) for block in v) if v else 0.0,
@@ -404,8 +371,6 @@ def run_admm(
         if primal <= eps and dual <= eps:
             converged = True
             break
-        if iterations < RHO_FREEZE_AFTER:
-            rho = update_rho(rho, dual, primal)
 
     marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
     counts = np.empty_like(rows)
@@ -420,7 +385,6 @@ def run_admm(
         count_marginals=counts,
         converged=converged,
         iterations=iterations,
-        rho_final=rho,
         primal_residual=primal,
         dual_residual=dual,
         trace=tuple(trace),

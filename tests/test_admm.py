@@ -13,14 +13,13 @@ from loopsieve.factorgraph import FactorGraph, build_factor_graph, exact_margina
 from loopsieve import infer_admm
 from loopsieve.infer_admm import (
     DEFAULT_LC_CAP,
-    RHO_MIN,
+    RHO,
     AdmmOptions,
     CycleCapError,
     _solve_batch,
     consensus_step,
     marginalization_matrix,
     run_admm,
-    update_rho,
 )
 from loopsieve.model import CycleFactor, ModelParams
 from loopsieve.synth import SynthSpec, generate, generate_suite
@@ -238,6 +237,37 @@ class TestNewtonSubproblem:
         assert steps == 0
         assert again[0] == pytest.approx(v, abs=1e-15)
 
+    def test_cold_starts_at_the_run_penalty(self, rng):
+        # run_admm solves at RHO; from v_hat, random rows of every k the
+        # suites reach solve to the hypothesis test's bounds
+        for k in range(1, 6):
+            pm = marginalization_matrix(k)
+            for _ in range(20):
+                weights = rng.uniform(0.0, 1.0, 1 << k) * (rng.random(1 << k) < 0.7)
+                weights[0] += 1e-3
+                v_hat = weights / weights.sum()
+                y = rng.uniform(-10.0, 10.0, k) * (rng.random(k) < 0.8)
+                w_c = rng.uniform(0.0, 1.0, k)
+                v, steps = newton_solve(v_hat, y, w_c, RHO)
+                ref = solve_cycle_subproblem(v_hat, y, w_c, RHO, tol=1e-13, max_iters=200_000)
+                assert np.abs(v - ref).max() <= 1e-7
+                assert objective_gap(v, ref, v_hat, y, w_c, RHO, pm) <= 1e-12
+                assert abs(v.sum() - 1.0) <= 1e-12
+                assert v.min() >= 0.0
+                assert steps <= 20
+
+    def test_cycling_case_solves_at_the_run_penalty(self):
+        # at rho = 1e4 the damped Newton cycles between supports on this
+        # row and raises; at RHO it is solved
+        v_hat = np.zeros(16)
+        v_hat[[3, 7, 10]], v_hat[12] = 0.2, 0.4
+        y, w_c = np.zeros(4), np.array([0.0, 0.0, 0.5, 0.625])
+        v, steps = newton_solve(v_hat, y, w_c, RHO)
+        ref = solve_cycle_subproblem(v_hat, y, w_c, RHO, tol=1e-13, max_iters=200_000)
+        assert np.abs(v - ref).max() <= 1e-7
+        assert objective_gap(v, ref, v_hat, y, w_c, RHO, marginalization_matrix(4)) <= 1e-12
+        assert steps <= 20
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(infer_admm, "NEWTON_MAX_STEPS", 1)
         with pytest.raises(RuntimeError, match="after 1 Newton steps"):
@@ -395,10 +425,6 @@ class TestOptions:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("rho0", 0.0, "rho0 must be finite and > 0, got 0.0"),
-            ("rho0", -1.0, "rho0 must be finite and > 0, got -1.0"),
-            ("rho0", math.nan, "rho0 must be finite and > 0, got nan"),
-            ("rho0", math.inf, "rho0 must be finite and > 0, got inf"),
             ("max_iters", 0, "max_iters must be at least 1, got 0"),
             ("max_iters", -3, "max_iters must be at least 1, got -3"),
             ("tol", -1.0, "tol must be finite and >= 0, got -1.0"),
@@ -413,45 +439,9 @@ class TestOptions:
     def test_smallest_valid_limits(self):
         fg = three_cycle_factor_graph((0.1, 0.3, 0.2))
         result = run_admm(
-            fg, uniform_params(fg.variables), AdmmOptions(rho0=RHO_MIN, max_iters=1, tol=0.0)
+            fg, uniform_params(fg.variables), AdmmOptions(max_iters=1, tol=0.0)
         )
         assert result.iterations == 1 and not result.converged
-
-
-class TestUpdateRho:
-    # update_rho(rho, r, t): r is the dual residual, t the primal one
-    def test_grow_when_primal_dominates(self):
-        assert update_rho(1.0, 0.01, 10.0) == 2.0
-
-    def test_shrink_when_dual_dominates(self):
-        assert update_rho(1.0, 10.0, 0.01) == 0.5
-
-    def test_tie_unchanged(self):
-        assert update_rho(1.0, 1.0, 1.0) == 1.0
-
-    @pytest.mark.parametrize(
-        "r, t, expected",
-        [
-            (1.0, 10.0, 1.0),  # a ratio of exactly RHO_MU moves nothing
-            (10.0, 1.0, 1.0),
-            (0.0, 0.0, 1.0),
-            (0.0, 1e-300, 2.0),
-            (1e-300, 0.0, 0.5),
-            (1.0, math.inf, 2.0),
-            (math.inf, 1.0, 0.5),
-            (math.inf, math.inf, 1.0),
-            (math.inf, 0.0, 0.5),
-            (math.nan, 1.0, 1.0),
-            (1.0, math.nan, 1.0),
-            (math.nan, math.nan, 1.0),
-        ],
-    )
-    def test_ties_zeros_inf_and_nan(self, r, t, expected):
-        assert update_rho(1.0, r, t) == expected
-
-    def test_clamped(self):
-        assert update_rho(1e4, 0.0, 1.0) == 1e4
-        assert update_rho(1e-4, 1.0, 0.0) == 1e-4
 
 
 class TestRunAdmm:
@@ -519,11 +509,13 @@ class TestRunAdmm:
     def test_residuals_read_the_unrelaxed_marginals(self, monkeypatch):
         # Boyd et al. 2011, section 3.4.3: the primal residual is
         # sum_c ||P_c v_c - w_c||^2 of the solved v, not of the relaxed
-        # marginals; the dual residual is rho^2 times the w change per
-        # incidence. Stopped early, so that both are far from zero.
+        # marginals; the dual residual is RHO^2 times the w change per
+        # incidence, in every iteration. Stopped early, so that both are
+        # far from zero.
         solve, calls = infer_admm._solve_batch, []
 
         def recording(v0, v_hat, y, w_rows, rho, p_matrix):
+            assert rho == RHO
             v, steps = solve(v0, v_hat, y, w_rows, rho, p_matrix)
             calls.append((v, w_rows.copy(), p_matrix))
             return v, steps
@@ -534,18 +526,22 @@ class TestRunAdmm:
         p = ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))
         result = run_admm(fg, p, AdmmOptions(max_iters=4, record_trace=True))
         assert not result.converged
-        w = np.array([result.edge_marginals[eid] for eid in fg.variables])
         groups = fg.cycle_groups
-        last = calls[-len(groups):]
-        primal = dual = 0.0
-        for group, (v, w_prev_rows, p_matrix) in zip(groups, last):
-            w_rows = w[fg.incidence_var[group.rows]]
-            primal += float(np.sum((v @ p_matrix.T - w_rows) ** 2))
-            dual += float(np.sum((w_rows - w_prev_rows) ** 2))
-        row = result.trace[-1]
-        assert row.primal_residual == pytest.approx(primal, rel=1e-12)
-        assert row.dual_residual == pytest.approx(row.rho**2 * dual, rel=1e-12)
-        assert row.primal_residual > 1e-6
+        w = np.array([result.edge_marginals[eid] for eid in fg.variables])
+        # the w each iteration leaves: the next one's input, and the result
+        w_after = [[w_rows for _, w_rows, _ in calls[i : i + len(groups)]]
+                   for i in range(len(groups), len(calls), len(groups))]
+        w_after.append([w[fg.incidence_var[group.rows]] for group in groups])
+        assert len(w_after) == len(result.trace) == 4
+        for i, row in enumerate(result.trace):
+            primal = dual = 0.0
+            batch = calls[i * len(groups) : (i + 1) * len(groups)]
+            for (v, w_prev_rows, p_matrix), w_rows in zip(batch, w_after[i]):
+                primal += float(np.sum((v @ p_matrix.T - w_rows) ** 2))
+                dual += float(np.sum((w_rows - w_prev_rows) ** 2))
+            assert row.primal_residual == pytest.approx(primal, rel=1e-12)
+            assert row.dual_residual == pytest.approx(RHO**2 * dual, rel=1e-12)
+            assert row.primal_residual > 1e-6
 
     def test_relaxation_keeps_the_fixed_point(self, monkeypatch):
         # Over-relaxation changes the path, not the solution: at a tight

@@ -43,7 +43,7 @@ def test_infer_outputs_marginals(tmp_path):
     "method, args, options",
     [
         ("bp", ["--max-iters", "7", "--tol", "1e-3"], {"max_iters": 7, "tol": 1e-3}),
-        ("admm", ["--rho0", "2", "--trace", "t.csv"], {"rho0": 2.0, "record_trace": True}),
+        ("admm", ["--max-iters", "50", "--trace", "t.csv"], {"max_iters": 50, "record_trace": True}),
         ("exact", [], {}),
     ],
 )
@@ -76,7 +76,7 @@ def test_infer_admm_trace(tmp_path):
     )
     assert result.exit_code == 0, result.output
     lines = trace_file.read_text().splitlines()
-    assert lines[0] == "iter,r,t,rho,steps"
+    assert lines[0] == "iter,r,t,steps"
     assert len(lines) > 1
 
 
@@ -85,8 +85,6 @@ def test_infer_admm_trace(tmp_path):
     [
         pytest.param("bp", "--trace", "admm", id="bp"),
         pytest.param("exact", "--trace", "admm", id="exact"),
-        pytest.param("bp", "--rho0", "admm", id="bp-rho0"),
-        pytest.param("exact", "--rho0", "admm", id="exact-rho0"),
         pytest.param("exact", "--max-iters", "bp and admm", id="exact-max-iters"),
         pytest.param("exact", "--tol", "bp and admm", id="exact-tol"),
     ],
@@ -95,7 +93,7 @@ def test_infer_trace_is_admm_only(tmp_path, method, option, users):
     # an option the back-end does not read is refused, even at its default
     graph_file = write_small_graph(tmp_path / "g.pgraph")
     trace_file = tmp_path / "trace.csv"
-    value = {"--trace": str(trace_file), "--rho0": "1.0", "--max-iters": "10", "--tol": "1e-3"}
+    value = {"--trace": str(trace_file), "--max-iters": "10", "--tol": "1e-3"}
     result = CliRunner().invoke(
         main,
         ["infer", str(graph_file), "--method", method, option, value[option]],
@@ -108,9 +106,6 @@ def test_infer_trace_is_admm_only(tmp_path, method, option, users):
 @pytest.mark.parametrize(
     "method, option, value, message",
     [
-        ("admm", "--rho0", "0", "rho0 must be finite and > 0, got 0.0"),
-        ("admm", "--rho0", "nan", "rho0 must be finite and > 0, got nan"),
-        ("admm", "--rho0", "-1", "rho0 must be finite and > 0, got -1.0"),
         ("admm", "--max-iters", "0", "max_iters must be at least 1, got 0"),
         ("bp", "--max-iters", "-3", "max_iters must be at least 1, got -3"),
         ("admm", "--tol", "-1", "tol must be finite and >= 0, got -1.0"),
@@ -145,7 +140,7 @@ def test_infer_admm_trace_without_cycles(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert result.output.splitlines()[:2] == ["edge_id\tp_inlier", "1\t0.700000000"]
-    assert trace_file.read_text().splitlines() == ["iter,r,t,rho,steps", "1,0,0,1,0"]
+    assert trace_file.read_text().splitlines() == ["iter,r,t,steps", "1,0,0,0"]
 
 
 def test_classify_tsv(tmp_path):
@@ -191,6 +186,23 @@ def test_classify_with_em(tmp_path):
         ["classify", str(graph_file), "--method", "exact", "--em", "--rounds", "3"],
     )
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["--rounds", "3"], "--rounds"),
+        (["--rounds", "10"], "--rounds"),
+        (["--freeze-priors"], "--freeze-priors"),
+        (["--rounds", "3", "--freeze-priors"], "--rounds"),
+    ],
+)
+def test_classify_em_options_need_em(tmp_path, args, flag):
+    # without --em nothing reads them, so they are refused, even at the default
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    result = CliRunner().invoke(main, ["classify", str(graph_file), "--method", "bp", *args])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: {flag} is --em only"
 
 
 def test_em_trace_csv(tmp_path):
