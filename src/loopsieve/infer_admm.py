@@ -94,10 +94,8 @@ class AdmmOptions:
     statistics. Construction raises ValueError unless max_iters >= 1 and
     tol is finite and >= 0.
 
-    The penalty RHO = 2 and the over-relaxation RELAXATION = 1.7 of the
-    consensus step (Boyd et al. 2011, section 3.4.3) are module constants,
-    not options. Any relaxation in (0, 2) keeps the fixed point and the
-    convergence guarantee (Eckstein & Bertsekas, Math. Programming 1992).
+    The penalty RHO = 2 and the consensus step's over-relaxation
+    RELAXATION = 1.7 are module constants, not options.
     """
 
     max_iters: int = 500

@@ -237,36 +237,34 @@ class TestNewtonSubproblem:
         assert steps == 0
         assert again[0] == pytest.approx(v, abs=1e-15)
 
+    @staticmethod
+    def assert_solved_at_the_run_penalty(v_hat, y, w_c):
+        """run_admm solves at RHO: from v_hat, the row meets the hypothesis
+        test's bounds in a few steps."""
+        v, steps = newton_solve(v_hat, y, w_c, RHO)
+        ref = solve_cycle_subproblem(v_hat, y, w_c, RHO, tol=1e-13, max_iters=200_000)
+        assert np.abs(v - ref).max() <= 1e-7
+        assert objective_gap(v, ref, v_hat, y, w_c, RHO, marginalization_matrix(len(y))) <= 1e-12
+        assert abs(v.sum() - 1.0) <= 1e-12
+        assert v.min() >= 0.0
+        assert steps <= 20
+
     def test_cold_starts_at_the_run_penalty(self, rng):
-        # run_admm solves at RHO; from v_hat, random rows of every k the
-        # suites reach solve to the hypothesis test's bounds
         for k in range(1, 6):
-            pm = marginalization_matrix(k)
-            for _ in range(20):
+            for _ in range(100):
                 weights = rng.uniform(0.0, 1.0, 1 << k) * (rng.random(1 << k) < 0.7)
                 weights[0] += 1e-3
-                v_hat = weights / weights.sum()
                 y = rng.uniform(-10.0, 10.0, k) * (rng.random(k) < 0.8)
-                w_c = rng.uniform(0.0, 1.0, k)
-                v, steps = newton_solve(v_hat, y, w_c, RHO)
-                ref = solve_cycle_subproblem(v_hat, y, w_c, RHO, tol=1e-13, max_iters=200_000)
-                assert np.abs(v - ref).max() <= 1e-7
-                assert objective_gap(v, ref, v_hat, y, w_c, RHO, pm) <= 1e-12
-                assert abs(v.sum() - 1.0) <= 1e-12
-                assert v.min() >= 0.0
-                assert steps <= 20
+                self.assert_solved_at_the_run_penalty(
+                    weights / weights.sum(), y, rng.uniform(0.0, 1.0, k)
+                )
 
     def test_cycling_case_solves_at_the_run_penalty(self):
         # at rho = 1e4 the damped Newton cycles between supports on this
         # row and raises; at RHO it is solved
         v_hat = np.zeros(16)
         v_hat[[3, 7, 10]], v_hat[12] = 0.2, 0.4
-        y, w_c = np.zeros(4), np.array([0.0, 0.0, 0.5, 0.625])
-        v, steps = newton_solve(v_hat, y, w_c, RHO)
-        ref = solve_cycle_subproblem(v_hat, y, w_c, RHO, tol=1e-13, max_iters=200_000)
-        assert np.abs(v - ref).max() <= 1e-7
-        assert objective_gap(v, ref, v_hat, y, w_c, RHO, marginalization_matrix(4)) <= 1e-12
-        assert steps <= 20
+        self.assert_solved_at_the_run_penalty(v_hat, np.zeros(4), np.array([0.0, 0.0, 0.5, 0.625]))
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(infer_admm, "NEWTON_MAX_STEPS", 1)
