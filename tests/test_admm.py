@@ -524,17 +524,16 @@ class TestRunAdmm:
         p = ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))
         result = run_admm(fg, p, AdmmOptions(max_iters=4, record_trace=True))
         assert not result.converged
-        groups = fg.cycle_groups
         w = np.array([result.edge_marginals[eid] for eid in fg.variables])
-        # the w each iteration leaves: the next one's input, and the result
-        w_after = [[w_rows for _, w_rows, _ in calls[i : i + len(groups)]]
-                   for i in range(len(groups), len(calls), len(groups))]
+        groups = fg.cycle_groups
+        n = len(groups)
+        # the w each iteration leaves: the next one's input, or the result
+        w_after = [[w_rows for _, w_rows, _ in calls[i : i + n]] for i in range(n, len(calls), n)]
         w_after.append([w[fg.incidence_var[group.rows]] for group in groups])
         assert len(w_after) == len(result.trace) == 4
         for i, row in enumerate(result.trace):
             primal = dual = 0.0
-            batch = calls[i * len(groups) : (i + 1) * len(groups)]
-            for (v, w_prev_rows, p_matrix), w_rows in zip(batch, w_after[i]):
+            for (v, w_prev_rows, p_matrix), w_rows in zip(calls[i * n : (i + 1) * n], w_after[i]):
                 primal += float(np.sum((v @ p_matrix.T - w_rows) ** 2))
                 dual += float(np.sum((w_rows - w_prev_rows) ** 2))
             assert row.primal_residual == pytest.approx(primal, rel=1e-12)
