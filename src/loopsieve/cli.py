@@ -100,7 +100,8 @@ def mcb(graph_file: str) -> None:
 @click.option("--max-iters", type=int, default=None, help="Iteration cap (bp, admm).")
 @click.option("--tol", type=float, default=None, help="Convergence tolerance (bp, admm).")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
-              help="Write a per-iteration iter,r,t,steps CSV (admm only).")
+              help="Write a per-iteration CSV of the primal and dual residuals, "
+                   "iter,r,t (admm only).")
 @_friendly_errors
 def infer(graph_file, method, params_deg, max_iters, tol, trace_path) -> None:
     """Run inference and print per-edge inlier probabilities as TSV."""
@@ -119,12 +120,9 @@ def infer(graph_file, method, params_deg, max_iters, tol, trace_path) -> None:
     fg = build_factor_graph(g, minimum_cycle_basis(g))
     result = em_mod.e_step(fg, _params_from(g, *params_deg), InferenceMethod(method), **options)
     if trace_path is not None:
-        lines = ["iter,r,t,steps"]
+        lines = ["iter,r,t"]
         for row in result.trace:
-            lines.append(
-                f"{row.iteration},{row.primal_residual:.9g},"
-                f"{row.dual_residual:.9g},{row.subproblem_steps}"
-            )
+            lines.append(f"{row.iteration},{row.primal_residual:.9g},{row.dual_residual:.9g}")
         Path(trace_path).write_text("\n".join(lines) + "\n")
     click.echo("edge_id\tp_inlier")
     for eid in fg.variables:
@@ -152,15 +150,16 @@ def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_p
         for name in ("rounds", "freeze_priors"):
             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
                 raise click.UsageError(f"--{name.replace('_', '-')} is --em only")
-    g = _load_graph(graph_file)
     method_enum = InferenceMethod(method)
+    if use_em:
+        cfg = EmConfig(
+            max_rounds=rounds, inference=method_enum, freeze_priors=freeze_priors
+        )
+    g = _load_graph(graph_file)
     if use_em:
         start = time.perf_counter()
         basis = minimum_cycle_basis(g)
         fg = build_factor_graph(g, basis)
-        cfg = EmConfig(
-            max_rounds=rounds, inference=method_enum, freeze_priors=freeze_priors
-        )
         _, _, final = run_em(fg, _params_from(g, *params_deg), cfg)
         runtime_ms = (time.perf_counter() - start) * 1000.0
         result = bench_mod.result_from_marginals(
@@ -202,14 +201,13 @@ def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_p
 @_friendly_errors
 def em(graph_file, method, rounds, freeze_priors, params_deg, output) -> None:
     """Estimate noise scales and priors by EM; emits the round trace as CSV."""
-    g = _load_graph(graph_file)
-    basis = minimum_cycle_basis(g)
-    fg = build_factor_graph(g, basis)
     cfg = EmConfig(
         max_rounds=rounds,
         inference=InferenceMethod(method),
         freeze_priors=freeze_priors,
     )
+    g = _load_graph(graph_file)
+    fg = build_factor_graph(g, minimum_cycle_basis(g))
     params, trace, _ = run_em(fg, _params_from(g, *params_deg), cfg)
     lines = ["round,sigma_deg,sigma_bar_deg,q,data_log_likelihood,inference_converged"]
     for row in trace.rounds:
@@ -301,11 +299,13 @@ def suite(scale, seed, m_min, m_max, m_step, nodes_per_map, output_dir) -> None:
 @_friendly_errors
 def bench(suite_dir, methods, threshold, params_deg, threads, timing, aggregate_path, output) -> None:
     """Classify every graph in a suite directory with every method."""
+    method_list = [InferenceMethod(m.strip()) for m in methods.split(",") if m.strip()]
+    if not method_list:
+        raise click.UsageError("--methods names no method")
     paths = sorted(Path(suite_dir).glob("*.pgraph"))
     if not paths:
         raise click.UsageError(f"no .pgraph files in {suite_dir}")
     items = [(p.stem, _load_graph(str(p))) for p in paths]
-    method_list = [InferenceMethod(m.strip()) for m in methods.split(",") if m.strip()]
     rows, failures = bench_mod.run_benchmark(
         items,
         method_list,

@@ -50,8 +50,9 @@ class EmConfig:
 
     The (sigma, sigma_bar) M-step searches the pairs of the two ascending
     grids with sigma_bar > sigma; their likelihood table is built once per
-    fit and each round's M-step weights it. The fit runs at most max_rounds
-    rounds and stops early once Q improves by less than LL_TOL. `inference`
+    fit and each round's M-step weights it. The fit runs at least one and
+    at most max_rounds rounds (construction refuses max_rounds < 1) and
+    stops early once Q improves by less than LL_TOL. `inference`
     picks the E-step back-end, run with its default settings (see
     :func:`e_step`). freeze_priors keeps the edge priors fixed.
     """
@@ -72,6 +73,8 @@ class EmConfig:
                 raise ValueError(f"{name} must be sorted ascending")
         if not self.pairs:
             raise ValueError("no (sigma, sigma_bar) grid pair satisfies sigma_bar > sigma")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
 
     @property
     def pairs(self) -> list[tuple[float, float]]:

@@ -10,11 +10,20 @@ global consensus value w_e in [0, 1]:
                every v_c on the probability simplex,
 
 where row e of P_c indicates the configurations in which edge e is an
-inlier. The cycle subproblems are strongly convex QPs over the simplex.
-Each is solved on its k-dimensional dual by damped semismooth Newton, with
-an exact sort-based simplex projection mapping the dual back to v (see
-_solve_batch); cycles of equal member count are solved in one vectorized
-batch, and each call starts from the previous iteration's v.
+inlier. Each cycle keeps a free v_c and a copy u_c constrained to the
+simplex, tied by v_c = u_c with its own dual lambda_c, and P_c v_c = w_c
+with the dual y: two-block ADMM (Boyd et al., "Distributed Optimization
+and Statistical Learning via ADMM", 2011, sections 3.2, 5 and 7.2), where
+the first block is v and the second is (u, w), which separate. Every step
+is in closed form. The v-step is one linear solve per cycle,
+
+    v_c = M^-1 (2 v_hat_c + RHO u_c - lambda_c + P_c^T (RHO w_c - y_c)),
+    M = (2 + RHO) I + RHO P_c^T P_c,
+
+applied by Woodbury through a k x k matrix built once per run; the u-step
+is the sort-based simplex projection (_project_rows); the w-step averages
+and clamps (consensus_step). Cycles of equal member count are solved in
+one vectorized batch.
 
 The consensus state is one flat float64 array per quantity over the
 (factor, member) incidences, in the factor graph's incidence-row order:
@@ -26,20 +35,22 @@ each edge's terms in this order, so the order fixes the last bits of w.
 Only cycles with k <= DEFAULT_LC_CAP members are solved, since each v_c
 has 2^k entries; run_admm raises CycleCapError before building any table.
 
-The penalty is fixed at RHO = 2, which is plain ADMM with its
-convergence guarantee (Boyd et al., "Distributed Optimization and
-Statistical Learning via ADMM", 2011, section 3.2). Every variable is a
-probability, so the problem is well scaled, and residual balancing
-(section 3.4.1) gains nothing here: on the synth suites a fixed 2 takes
-fewer iterations than the adaptive rule, and 1, 4 or 8 more.
+The penalty is fixed at RHO = 4, which is plain ADMM with its
+convergence guarantee (section 3.2). Every variable is a probability, so
+the problem is well scaled and residual balancing (section 3.4.1) gains
+nothing. On the synth suites 4 stops closest to the optimum for its
+iterations: 2 ends farther from it at the same tolerance, and 8 takes
+more iterations.
 
-The consensus step is over-relaxed (Boyd et al. 2011, section 3.4.3): the
-w-update and the dual step read x_hat_c = RELAXATION * P_c v_c +
-(1 - RELAXATION) * w_c^prev in place of P_c v_c. For any RELAXATION in
-(0, 2) this keeps the fixed point and the convergence guarantee of plain
-ADMM (Eckstein & Bertsekas, Math. Programming 55, 1992), and at 1.7 it
-takes about a third fewer iterations on the synth suites. The primal
-residual stays sum_c ||P_c v_c - w_c||^2 on the unrelaxed marginals.
+Both second-block steps are over-relaxed (section 3.4.3): the u- and
+w-updates and the dual steps read RELAXATION * v_c + (1 - RELAXATION) *
+u_c^prev and RELAXATION * P_c v_c + (1 - RELAXATION) * w_c^prev in place
+of v_c and P_c v_c. For any RELAXATION in (0, 2) this keeps the fixed
+point and the convergence guarantee of plain ADMM (Eckstein & Bertsekas,
+Math. Programming 55, 1992), and at 1.7 it takes about a third fewer
+iterations on the synth suites. The primal residual is
+sum_c ||v_c - u_c||^2 + ||P_c v_c - w_c||^2 of the unrelaxed v, and the
+dual residual RHO^2 times the squared change of u and w.
 """
 
 from __future__ import annotations
@@ -53,21 +64,11 @@ from .model import ModelParams, _popcounts, log_prior_vector
 
 
 # The augmented Lagrangian's penalty, the same in every iteration.
-RHO = 2.0
-# Over-relaxation of the consensus step (Boyd et al. 2011, section 3.4.3);
+RHO = 4.0
+# Over-relaxation of the second block's steps (Boyd et al. 2011, section 3.4.3);
 # any value in (0, 2) keeps ADMM's convergence (Eckstein & Bertsekas 1992),
 # and 1 is plain ADMM.
 RELAXATION = 1.7
-# The cycle subproblems' Newton solver (see _solve_batch) raises when rows
-# are still unsolved after NEWTON_MAX_STEPS steps; its line search accepts a
-# step t along the Newton direction once g gains ARMIJO_FRACTION * t times
-# its initial slope along that direction.
-# Warm-started from the previous iteration, a batch takes 1-6 steps on the
-# synth suites; cold starts at RHO take at most about a dozen at k <= 5,
-# and at rho = 1e4 over a hundred.
-NEWTON_MAX_STEPS = 500
-ARMIJO_FRACTION = 1e-4
-EPS = float(np.finfo(float).eps)
 # run_admm refuses cycles with more loop-closure members than this: each
 # v_c has 2^k entries.
 DEFAULT_LC_CAP = 16
@@ -94,12 +95,14 @@ class AdmmOptions:
     statistics. Construction raises ValueError unless max_iters >= 1 and
     tol is finite and >= 0.
 
-    The penalty RHO = 2 and the consensus step's over-relaxation
-    RELAXATION = 1.7 are module constants, not options.
+    The penalty RHO = 4 and the over-relaxation RELAXATION = 1.7 are
+    module constants, not options. Both residuals are sums of squares, so
+    the default tol of 1e-7 stops once the iterates are within about 1e-3
+    of the optimum in w on the synth suites.
     """
 
     max_iters: int = 500
-    tol: float = 1e-6
+    tol: float = 1e-7
     scale_tol: bool = True
     record_trace: bool = False
 
@@ -112,11 +115,10 @@ class AdmmIterationStats:
     iteration: int
     primal_residual: float
     dual_residual: float
-    max_simplex_gap: float  # worst |1^T v - 1| across cycles
-    min_v: float
+    max_simplex_gap: float  # worst |1^T u - 1| across cycles
+    min_v: float  # smallest entry of u
     w_min: float
     w_max: float
-    subproblem_steps: int  # Newton steps of _solve_batch, summed over groups
 
 
 @dataclass(frozen=True)
@@ -166,101 +168,6 @@ def _project_rows(matrix: np.ndarray) -> np.ndarray:
     return np.maximum(matrix - threshold[:, None], 0.0)
 
 
-def _dual(v, a, nu, residual, rho):
-    """Per row, the concave dual g(nu) of the cycle QP up to a constant, and
-    the sum of its terms' magnitudes, which scales the rounding error of g."""
-    half_nu = 0.5 * nu
-    g = (v * (v - 2.0 * a)).sum(axis=1) + rho * (nu * (residual + half_nu)).sum(axis=1)
-    size = (v * (v + 2.0 * np.abs(a))).sum(axis=1) + rho * (
-        np.abs(nu) * (np.abs(residual) + np.abs(half_nu))
-    ).sum(axis=1)
-    return g, size
-
-
-def _solve_batch(
-    v0: np.ndarray,
-    v_hat: np.ndarray,
-    y: np.ndarray,
-    w_rows: np.ndarray,
-    rho: float,
-    p_matrix: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Damped semismooth Newton on the k-dimensional dual of a batch of
-    simplex QPs, one row per cycle.
-
-    Row c minimizes ||v - v_hat||^2 + y^T P v + (rho/2)||P v - w||^2 over
-    the simplex. With a = v_hat - P^T y / 2 and nu = lambda / rho for the
-    multiplier lambda of P v = mu, the minimizer over v is
-    v(nu) = proj(a - (rho/2) P^T nu), and the QP's optimum is the root of
-    F(nu) = P v(nu) - w - nu, the gradient of the concave dual g(nu) over
-    rho. On the support s of v the projection has the Jacobian
-    D = diag(s) - s s^T / |s|, so -(I + (rho/2) P D P^T) is a generalized
-    Jacobian of F, and a step solves one k x k system per row (Qi & Sun,
-    Math. Programming 1993; Li, Sun & Toh, SIAM J. Optim. 2018). nu starts
-    at P v0 - w, the root when v0 is already the optimum.
-
-    g is quadratic, and F affine, while the support stays fixed. So a full
-    step that keeps the support lands on the root: the row is solved. A
-    step that changes the support is damped by per-row Armijo backtracking
-    on g, since undamped the iterates can jump between two supports
-    forever. A row also leaves the work set once max |F| is within the
-    rounding of P v. Rows still at work after NEWTON_MAX_STEPS steps raise.
-    Returns the solutions, each on the simplex as _project_rows leaves it,
-    and the number of Newton steps.
-    """
-    k = p_matrix.shape[0]
-    unit = EPS * (1 << k)  # relative rounding of a sum over the 2^k entries
-    a = v_hat - 0.5 * (y @ p_matrix)
-    half_rho_p = 0.5 * rho * p_matrix
-    nu = v0 @ p_matrix.T - w_rows
-    b = a - nu @ half_rho_p
-    v = _project_rows(b)
-    residual = v @ p_matrix.T - w_rows - nu
-    rounding = unit * (1.0 + np.abs(b).max(axis=1))
-    work = np.flatnonzero(np.abs(residual).max(axis=1) > rounding)
-    steps = 0
-    while work.size:
-        if steps == NEWTON_MAX_STEPS:
-            raise RuntimeError(f"cycle subproblem unsolved after {steps} Newton steps")
-        steps += 1
-        support = v[work] > 0.0
-        s = support.astype(float)
-        sp = s @ p_matrix.T
-        pdp = (s[:, None, :] * p_matrix) @ p_matrix.T
-        pdp -= sp[:, :, None] * sp[:, None, :] / s.sum(axis=1)[:, None, None]
-        f = residual[work]
-        direction = np.linalg.solve(np.eye(k) + 0.5 * rho * pdp, f[..., None])[..., 0]
-        ascent = ARMIJO_FRACTION * rho * (f * direction).sum(axis=1)
-        g = None
-        t = 1.0
-        trying = np.arange(work.size)
-        while trying.size and t >= EPS:
-            rows = work[trying]
-            nu_t = nu[rows] + t * direction[trying]
-            b_t = a[rows] - nu_t @ half_rho_p
-            v_t = _project_rows(b_t)
-            residual_t = v_t @ p_matrix.T - w_rows[rows] - nu_t
-            if t == 1.0:
-                settled = ((v_t > 0.0) == support).all(axis=1)
-                ok = settled.copy()
-            else:
-                ok = np.zeros(trying.size, dtype=bool)
-            if not ok.all():
-                if g is None:
-                    g, size = _dual(v[work], a[work], nu[work], residual[work], rho)
-                g_t, size_t = _dual(v_t, a[rows], nu_t, residual_t, rho)
-                slack = unit * (size[trying] + size_t)
-                ok |= g_t - g[trying] >= t * ascent[trying] - slack
-            accepted = rows[ok]
-            nu[accepted], v[accepted], residual[accepted] = nu_t[ok], v_t[ok], residual_t[ok]
-            rounding[accepted] = unit * (1.0 + np.abs(b_t[ok]).max(axis=1))
-            trying = trying[~ok]
-            t *= 0.5
-        settled |= np.abs(residual[work]).max(axis=1) <= rounding[work]
-        work = work[~settled]
-    return v, steps
-
-
 def consensus_step(
     marginals: np.ndarray,
     y: np.ndarray,
@@ -302,7 +209,7 @@ def run_admm(
     """Consensus ADMM until both residuals fall under tolerance.
 
     Returns the consensus inlier probabilities w as edge marginals and the
-    outlier-count marginals of the per-cycle distributions v_c.
+    outlier-count marginals of the per-cycle distributions u_c.
     """
     opts = opts or AdmmOptions()
     variables = fg.variables
@@ -323,15 +230,23 @@ def run_admm(
         cycle_conditionals(rows[group.count_rows], prior[at])
         for group, at in zip(groups, member_pos)
     ]
+    # The v-step's matrix M = (2 + RHO) I + RHO P^T P is 2^k square; by
+    # Woodbury, M^-1 r = (r - RHO P^T S^-1 P r) / (2 + RHO) with the k x k
+    # S = (2 + RHO) I + RHO P P^T.
+    s_inverses = [
+        np.linalg.inv((2.0 + RHO) * np.eye(group.k) + RHO * p @ p.T)
+        for group, p in zip(groups, p_matrices)
+    ]
     degree = np.bincount(pos, minlength=n_edges)
     n_rows = len(pos)
     marginals = np.empty(n_rows)
     y = np.zeros(n_rows)
-    v = list(v_hat)
+    u = list(v_hat)
+    lam = [np.zeros_like(block) for block in v_hat]
 
     # Warm start w at the average of the incident data-only marginals,
     # and uncovered edges at their prior.
-    for group, block, p in zip(groups, v, p_matrices):
+    for group, block, p in zip(groups, u, p_matrices):
         marginals[group.rows] = block @ p.T
     w = consensus_step(marginals, y, pos, degree, prior, RHO)[0]
 
@@ -343,27 +258,33 @@ def run_admm(
     dual = float("nan")
     trace: list[AdmmIterationStats] = []
     for iterations in range(1, opts.max_iters + 1):
-        steps = 0
-        for g, (group, p) in enumerate(zip(groups, p_matrices)):
-            v[g], group_steps = _solve_batch(
-                v[g], v_hat[g], y[group.rows], w[member_pos[g]], RHO, p
-            )
-            steps += group_steps
-            marginals[group.rows] = v[g] @ p.T
+        simplex_primal = simplex_change = 0.0
+        for g, (group, p, s_inv) in enumerate(zip(groups, p_matrices, s_inverses)):
+            at = group.rows
+            r = 2.0 * v_hat[g] + RHO * u[g] - lam[g] + (RHO * w[member_pos[g]] - y[at]) @ p
+            v = (r - RHO * ((r @ p.T) @ s_inv) @ p) / (2.0 + RHO)
+            marginals[at] = v @ p.T
+            relaxed = RELAXATION * v + (1.0 - RELAXATION) * u[g]
+            u_next = _project_rows(relaxed + lam[g] / RHO)
+            lam[g] += RHO * (relaxed - u_next)
+            simplex_primal += float(np.sum((v - u_next) ** 2))
+            simplex_change += float(np.sum((u_next - u[g]) ** 2))
+            u[g] = u_next
 
         w, y, primal, dual = consensus_step(marginals, y, pos, degree, w, RHO, RELAXATION)
+        primal += simplex_primal
+        dual += RHO**2 * simplex_change
         if opts.record_trace:
             trace.append(
                 AdmmIterationStats(
                     iterations,
                     primal,
                     dual,
-                    max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in v)
-                    if v else 0.0,
-                    min(float(block.min()) for block in v) if v else 0.0,
+                    max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in u)
+                    if u else 0.0,
+                    min(float(block.min()) for block in u) if u else 0.0,
                     float(w.min()) if n_edges else 0.0,
                     float(w.max()) if n_edges else 0.0,
-                    steps,
                 )
             )
         if primal <= eps and dual <= eps:
@@ -372,7 +293,7 @@ def run_admm(
 
     marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
     counts = np.empty_like(rows)
-    for group, block in zip(groups, v):
+    for group, block in zip(groups, u):
         # bin r (k + 1) + s adds the entries of row r with s outliers, in mask order
         bins = np.arange(len(block))[:, None] * (group.k + 1) + _popcounts(group.k)
         normalized = np.maximum(block, 0.0) / block.sum(axis=1, keepdims=True)

@@ -2,13 +2,12 @@
 
 The library computes with arrays: `model.log_likelihood_rows` is its one
 likelihood, `run_bp` updates messages in batches of equal cycle size, all
-excluded slots at once, `run_admm` solves the cycle subproblems of equal
-size in one batch by semismooth Newton on their duals, and
-`exact_marginals` eliminates variables bucket by bucket. The functions here compute the same
-quantities one scalar, one factor, one message or one full-length state
-array at a time, and solve ADMM's cycle subproblem in the primal by
-accelerated projected gradient; the tests compare the library against
-them.
+excluded slots at once, `run_admm` reaches its optimum by ADMM steps over
+batches of equal-size cycles, and `exact_marginals` eliminates variables
+bucket by bucket. The functions here compute the same quantities one
+scalar, one factor, one message or one full-length state array at a time,
+and solve ADMM's whole problem at once by a general-purpose QP solver; the
+tests compare the library against them.
 
 The library reports each cycle's posterior only as the marginals of its
 outlier count. The references here keep the posterior over all 2^k
@@ -27,6 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import pytest
 
 from loopsieve import so3
 from loopsieve.cycles import (
@@ -39,7 +39,7 @@ from loopsieve.cycles import (
 )
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph
-from loopsieve.infer_admm import _project_rows, marginalization_matrix
+from loopsieve.infer_admm import _project_rows
 from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
 from loopsieve.model import (
     CycleFactor,
@@ -680,7 +680,7 @@ def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_T
     return marginals, counts, iterations, converged
 
 
-# --- ADMM, one cycle subproblem at a time --------------------------------
+# --- ADMM's problem, solved whole ----------------------------------------
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -688,84 +688,52 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return _project_rows(np.asarray(v, dtype=float)[None, :])[0]
 
 
-SUBPROBLEM_TOL = 1e-8
-SUBPROBLEM_MAX_ITERS = 10000
+def consensus_qp_optimum(fg: FactorGraph, params: ModelParams) -> dict[int, float]:
+    """The optimum w of the problem `run_admm` solves, by one SLSQP solve
+    over every v_c and w at once:
 
+        minimize   sum_c ||v_c - cycle_conditional(c)||^2
+        subject to sum(v_c) = 1, v_c >= 0, 0 <= w <= 1, and for every
+                   member j of cycle c, inlier_marginal(v_c, j) = w_e(j).
 
-def _gradient(
-    v: np.ndarray,
-    v_hat: np.ndarray,
-    y_p: np.ndarray,
-    w_rows: np.ndarray,
-    rho: float,
-    p_matrix: np.ndarray,
-) -> np.ndarray:
-    return 2.0 * (v - v_hat) + y_p + rho * ((v @ p_matrix.T) - w_rows) @ p_matrix
-
-
-def accelerated_projected_gradient(
-    v0: np.ndarray,
-    v_hat: np.ndarray,
-    y: np.ndarray,
-    w_rows: np.ndarray,
-    rho: float,
-    p_matrix: np.ndarray,
-    lam_max: float,
-    tol: float,
-    max_iters: int,
-) -> np.ndarray:
-    """Accelerated projected gradient on a batch of simplex QPs.
-
-    The objective is 2-strongly convex with curvature at most
-    2 + rho * lam_max(P P^T), so a constant-momentum scheme converges
-    linearly. Stops on the projected-gradient residual.
+    Returns w for the covered edges only; the others are in no constraint.
     """
-    lipschitz = 2.0 + rho * lam_max
-    kappa = np.sqrt(2.0 / lipschitz)
-    momentum = (1.0 - kappa) / (1.0 + kappa)
-    y_p = y @ p_matrix
-    x = v0
-    z = v0
-    for _ in range(max_iters):
-        grad = _gradient(z, v_hat, y_p, w_rows, rho, p_matrix)
-        x_new = _project_rows(z - grad / lipschitz)
-        z = x_new + momentum * (x_new - x)
-        residual = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if residual <= tol:
-            grad = _gradient(x, v_hat, y_p, w_rows, rho, p_matrix)
-            mapped = _project_rows(x - grad / lipschitz)
-            if float(np.max(np.abs(mapped - x))) <= tol:
-                break
-            z = x
-    return x
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    covered = sorted({eid for f in fg.factors for eid in f.lc_members})
+    at_w = {eid: i for i, eid in enumerate(covered)}
+    targets = [cycle_conditional(f, params) for f in fg.factors]
+    starts = np.cumsum([0] + [t.shape[0] for t in targets])
+    n_v = int(starts[-1])
+    equalities = []  # rows (a, b): a @ x = b
+    for f, start, target in zip(fg.factors, starts, targets):
+        masks = np.arange(target.shape[0])
+        row = np.zeros(n_v + len(covered))
+        row[start : start + target.shape[0]] = 1.0
+        equalities.append((row, 1.0))
+        for j, eid in enumerate(f.lc_members):
+            row = np.zeros(n_v + len(covered))
+            row[start + masks[(masks >> j) & 1 == 0]] = 1.0
+            row[n_v + at_w[eid]] = -1.0
+            equalities.append((row, 0.0))
+    a_eq = np.array([a for a, _ in equalities])
+    b_eq = np.array([b for _, b in equalities])
+    v_hat = np.concatenate(targets)
 
+    def objective(x):
+        return float(np.sum((x[:n_v] - v_hat) ** 2))
 
-def solve_cycle_subproblem(
-    v_hat: np.ndarray,
-    y: np.ndarray,
-    w_c: np.ndarray,
-    rho: float,
-    tol: float = SUBPROBLEM_TOL,
-    max_iters: int = SUBPROBLEM_MAX_ITERS,
-) -> np.ndarray:
-    """Minimize ||v - v_hat||^2 + y^T P v + (rho/2)||P v - w_c||^2 on the
-    simplex by accelerated projected gradient, the method `run_admm` used
-    before its Newton solver."""
-    v_hat = np.asarray(v_hat, dtype=float)
-    k = int(v_hat.shape[0]).bit_length() - 1
-    p_matrix = marginalization_matrix(k)
-    lam = float(np.linalg.eigvalsh(p_matrix @ p_matrix.T).max())
-    v0 = _project_rows(v_hat[None, :])
-    out = accelerated_projected_gradient(
-        v0,
-        v_hat[None, :],
-        np.asarray(y, dtype=float)[None, :],
-        np.asarray(w_c, dtype=float)[None, :],
-        rho,
-        p_matrix,
-        lam,
-        tol,
-        max_iters,
+    def gradient(x):
+        return np.concatenate([2.0 * (x[:n_v] - v_hat), np.zeros(len(covered))])
+
+    x0 = np.concatenate([v_hat, np.full(len(covered), 0.5)])
+    out = scipy_opt.minimize(
+        objective,
+        x0,
+        jac=gradient,
+        bounds=[(0.0, None)] * n_v + [(0.0, 1.0)] * len(covered),
+        constraints=[{"type": "eq", "fun": lambda x: a_eq @ x - b_eq, "jac": lambda x: a_eq}],
+        method="SLSQP",
+        options={"ftol": 1e-16, "maxiter": 2000},
     )
-    return out[0]
+    assert np.abs(a_eq @ out.x - b_eq).max() <= 1e-9, out.message
+    return {eid: float(out.x[n_v + i]) for i, eid in enumerate(covered)}

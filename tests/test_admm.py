@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import loop_closure_ring, mean_count_gaps, three_cycle_factor_graph, uniform_params
 from loopsieve.cycles import minimum_cycle_basis
@@ -15,8 +13,8 @@ from loopsieve.infer_admm import (
     DEFAULT_LC_CAP,
     RHO,
     AdmmOptions,
+    RELAXATION,
     CycleCapError,
-    _solve_batch,
     consensus_step,
     marginalization_matrix,
     run_admm,
@@ -24,42 +22,11 @@ from loopsieve.infer_admm import (
 from loopsieve.model import CycleFactor, ModelParams
 from loopsieve.synth import SynthSpec, generate, generate_suite
 from reference import (
+    consensus_qp_optimum,
     cycle_conditional,
     inlier_marginal,
     project_to_simplex,
-    solve_cycle_subproblem,
 )
-
-RHOS = (0.0, 1e-4, 1.0, 1e4)
-
-
-def subproblem_objective(v, v_hat, y, w_c, rho, p_matrix):
-    return (
-        float(np.sum((v - v_hat) ** 2))
-        + float(y @ (p_matrix @ v))
-        + 0.5 * rho * float(np.sum((p_matrix @ v - w_c) ** 2))
-    )
-
-
-def objective_gap(v, ref, v_hat, y, w_c, rho, p_matrix):
-    """subproblem_objective(v) - subproblem_objective(ref), exact for the
-    quadratic as the step v - ref times the gradient at the midpoint, so
-    that the objective's large terms do not cancel in rounding."""
-    mid = 0.5 * (v + ref)
-    grad = 2 * (mid - v_hat) + p_matrix.T @ y + rho * p_matrix.T @ (p_matrix @ mid - w_c)
-    return float((v - ref) @ grad)
-
-
-def pgd_oracle(v_hat, y, w_c, rho, p_matrix, steps=200_000, lr=None):
-    """Plain projected gradient with a tiny constant step; deliberately
-    independent of the production solver."""
-    if lr is None:
-        lr = 0.25 / (2.0 + rho * np.linalg.norm(p_matrix, 2) ** 2)
-    v = np.full_like(v_hat, 1.0 / v_hat.shape[0])
-    for _ in range(steps):
-        grad = 2 * (v - v_hat) + p_matrix.T @ y + rho * p_matrix.T @ (p_matrix @ v - w_c)
-        v = project_to_simplex(v - lr * grad)
-    return v
 
 
 class TestMarginalizationMatrix:
@@ -108,168 +75,6 @@ class TestSimplexProjection:
                 options={"ftol": 1e-14, "maxiter": 500},
             )
             assert proj == pytest.approx(ref.x, abs=1e-6)
-
-
-class TestSubproblem:
-    def test_consistent_target_returns_v_hat(self):
-        f = CycleFactor(0, (0, 1, 2), 0, 0.3)
-        p = uniform_params((0, 1, 2))
-        v_hat = cycle_conditional(f, p)
-        pm = marginalization_matrix(3)
-        w_c = pm @ v_hat
-        v = solve_cycle_subproblem(v_hat, np.zeros(3), w_c, rho=1.0)
-        assert v == pytest.approx(v_hat, abs=1e-7)
-
-    def test_rho_zero_projects_v_hat(self):
-        f = CycleFactor(0, (0, 1), 1, 0.2)
-        p = uniform_params((0, 1))
-        v_hat = cycle_conditional(f, p)
-        v = solve_cycle_subproblem(v_hat, np.zeros(2), np.zeros(2), rho=0.0)
-        assert v == pytest.approx(v_hat, abs=1e-8)
-
-    def test_matches_slsqp_reference(self, rng):
-        scipy_opt = pytest.importorskip("scipy.optimize")
-        for _ in range(5):
-            k = 3
-            pm = marginalization_matrix(k)
-            v_hat = rng.dirichlet(np.ones(1 << k))
-            y = rng.normal(0, 0.5, k)
-            w_c = rng.uniform(0, 1, k)
-            rho = float(rng.uniform(0.3, 4.0))
-            mine = solve_cycle_subproblem(v_hat, y, w_c, rho)
-            ref = scipy_opt.minimize(
-                lambda v: subproblem_objective(v, v_hat, y, w_c, rho, pm),
-                np.full(1 << k, 1.0 / (1 << k)),
-                bounds=[(0, None)] * (1 << k),
-                constraints=[{"type": "eq", "fun": lambda v: v.sum() - 1}],
-                method="SLSQP",
-                options={"ftol": 1e-16, "maxiter": 1000},
-            )
-            assert subproblem_objective(mine, v_hat, y, w_c, rho, pm) <= ref.fun + 1e-9
-            assert mine == pytest.approx(ref.x, abs=1e-5)
-
-    def test_matches_plain_pgd_oracle(self, rng):
-        k = 3
-        pm = marginalization_matrix(k)
-        v_hat = rng.dirichlet(np.ones(1 << k))
-        y = rng.normal(0, 0.5, k)
-        w_c = rng.uniform(0, 1, k)
-        rho = 2.0
-        mine = solve_cycle_subproblem(v_hat, y, w_c, rho)
-        ref = pgd_oracle(v_hat, y, w_c, rho, pm, steps=100_000)
-        assert mine == pytest.approx(ref, abs=1e-6)
-
-    def test_result_on_simplex(self, rng):
-        for _ in range(10):
-            k = int(rng.integers(1, 5))
-            v_hat = rng.dirichlet(np.ones(1 << k))
-            v = solve_cycle_subproblem(
-                v_hat, rng.normal(0, 1, k), rng.uniform(0, 1, k), float(rng.uniform(0.1, 10))
-            )
-            assert np.all(v >= 0)
-            assert v.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-@st.composite
-def cycle_qps(draw):
-    """One cycle subproblem: k = 1..5, rho from RHOS, v_hat on the simplex
-    with exact zeros, duals up to 10 in magnitude and w in [0, 1]."""
-    k = draw(st.integers(1, 5))
-    weights = draw(
-        st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1 << k, max_size=1 << k)
-        .filter(lambda ws: sum(ws) > 1e-3)
-    )
-    v_hat = np.array(weights) / sum(weights)
-    y = np.array(draw(st.lists(st.just(0.0) | st.floats(-10.0, 10.0), min_size=k, max_size=k)))
-    w_c = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
-    return v_hat, y, w_c, draw(st.sampled_from(RHOS))
-
-
-def newton_solve(v_hat, y, w_c, rho):
-    """_solve_batch on one row, started from v_hat as run_admm's first
-    iteration starts."""
-    k = len(y)
-    v, steps = _solve_batch(
-        v_hat[None, :], v_hat[None, :], y[None, :], w_c[None, :], rho, marginalization_matrix(k)
-    )
-    return v[0], steps
-
-
-class TestNewtonSubproblem:
-    """_solve_batch, the library's Newton solver, against the reference's
-    accelerated projected gradient run to a tight tolerance."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(cycle_qps())
-    def test_matches_reference_optimum(self, case):
-        v_hat, y, w_c, rho = case
-        pm = marginalization_matrix(len(y))
-        v, _ = newton_solve(v_hat, y, w_c, rho)
-        ref = solve_cycle_subproblem(v_hat, y, w_c, rho, tol=1e-13, max_iters=200_000)
-        assert np.abs(v - ref).max() <= 1e-7
-        assert objective_gap(v, ref, v_hat, y, w_c, rho, pm) <= 1e-12
-        assert abs(v.sum() - 1.0) <= 1e-12
-        assert v.min() >= 0.0
-
-    def test_damping_stops_a_two_support_cycle(self):
-        # k = 1: v = (v0, 1 - v0), and the optimum 4 (v0 - 1/2) + rho (v0 - w) = 0
-        # keeps both entries. From v_hat the support is {1}, where F has slope
-        # -1, so an undamped step jumps to nu = -w with support {0}, whose
-        # step jumps back to nu = 1 - w, and so on.
-        rho, w = 100.0, 0.3
-        v_hat, p_row = np.array([0.5, 0.5]), marginalization_matrix(1)[0]
-        nu, supports = p_row @ v_hat - w, []
-        for _ in range(4):
-            v = project_to_simplex(v_hat - 0.5 * rho * nu * p_row)
-            supports.append(tuple(np.flatnonzero(v)))
-            nu = p_row @ v - w  # the undamped step: H = 1 on a one-entry support
-        assert supports == [(1,), (0,), (1,), (0,)]
-        v, steps = newton_solve(v_hat, np.zeros(1), np.array([w]), rho)
-        v0 = (2.0 + rho * w) / (4.0 + rho)
-        assert v == pytest.approx([v0, 1.0 - v0], abs=1e-12)
-        assert steps < infer_admm.NEWTON_MAX_STEPS
-
-    def test_warm_start_at_the_optimum_takes_no_step(self):
-        v_hat, y, w_c, rho = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.3, -0.2]), np.array([0.6, 0.5]), 2.0
-        v, _ = newton_solve(v_hat, y, w_c, rho)
-        pm = marginalization_matrix(2)
-        again, steps = _solve_batch(v[None, :], v_hat[None, :], y[None, :], w_c[None, :], rho, pm)
-        assert steps == 0
-        assert again[0] == pytest.approx(v, abs=1e-15)
-
-    @staticmethod
-    def assert_solved_at_the_run_penalty(v_hat, y, w_c):
-        """run_admm solves at RHO: from v_hat, the row meets the hypothesis
-        test's bounds in a few steps."""
-        v, steps = newton_solve(v_hat, y, w_c, RHO)
-        ref = solve_cycle_subproblem(v_hat, y, w_c, RHO, tol=1e-13, max_iters=200_000)
-        assert np.abs(v - ref).max() <= 1e-7
-        assert objective_gap(v, ref, v_hat, y, w_c, RHO, marginalization_matrix(len(y))) <= 1e-12
-        assert abs(v.sum() - 1.0) <= 1e-12
-        assert v.min() >= 0.0
-        assert steps <= 20
-
-    def test_cold_starts_at_the_run_penalty(self, rng):
-        for k in range(1, 6):
-            for _ in range(100):
-                weights = rng.uniform(0.0, 1.0, 1 << k) * (rng.random(1 << k) < 0.7)
-                weights[0] += 1e-3
-                y = rng.uniform(-10.0, 10.0, k) * (rng.random(k) < 0.8)
-                self.assert_solved_at_the_run_penalty(
-                    weights / weights.sum(), y, rng.uniform(0.0, 1.0, k)
-                )
-
-    def test_cycling_case_solves_at_the_run_penalty(self):
-        # at rho = 1e4 the damped Newton cycles between supports on this
-        # row and raises; at RHO it is solved
-        v_hat = np.zeros(16)
-        v_hat[[3, 7, 10]], v_hat[12] = 0.2, 0.4
-        self.assert_solved_at_the_run_penalty(v_hat, np.zeros(4), np.array([0.0, 0.0, 0.5, 0.625]))
-
-    def test_step_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(infer_admm, "NEWTON_MAX_STEPS", 1)
-        with pytest.raises(RuntimeError, match="after 1 Newton steps"):
-            newton_solve(np.array([0.5, 0.5]), np.zeros(1), np.array([0.3]), 100.0)
 
 
 def step(marginals, duals, members_pos, rho, w_prev):
@@ -485,59 +290,61 @@ class TestRunAdmm:
         row = result.trace[0]
         assert (row.max_simplex_gap, row.min_v) == (0.0, 0.0)
         assert (row.w_min, row.w_max) == (0.5, 0.5)
-        assert row.subproblem_steps == 0
-
-    def test_trace_counts_newton_steps(self, monkeypatch):
-        solve, counts = infer_admm._solve_batch, []
-
-        def recording(*args):
-            v, steps = solve(*args)
-            counts.append(steps)
-            return v, steps
-
-        monkeypatch.setattr(infer_admm, "_solve_batch", recording)
-        fg = three_cycle_factor_graph((0.1, 0.3, 0.2))
-        result = run_admm(fg, uniform_params(fg.variables), AdmmOptions(record_trace=True))
-        groups = len(fg.cycle_groups)
-        assert len(counts) == groups * result.iterations
-        assert [row.subproblem_steps for row in result.trace] == [
-            sum(counts[i : i + groups]) for i in range(0, len(counts), groups)
-        ]
 
     def test_residuals_read_the_unrelaxed_marginals(self, monkeypatch):
         # Boyd et al. 2011, section 3.4.3: the primal residual is
-        # sum_c ||P_c v_c - w_c||^2 of the solved v, not of the relaxed
-        # marginals; the dual residual is RHO^2 times the w change per
-        # incidence, in every iteration. Stopped early, so that both are
-        # far from zero.
-        solve, calls = infer_admm._solve_batch, []
+        # sum_c ||v_c - u_c||^2 + ||P_c v_c - w_c||^2 of the solved v, not
+        # of the relaxed one; the dual residual is RHO^2 times the change of
+        # u, and of w per incidence, in every iteration. Stopped early, so
+        # that both are far from zero. The u-step projects
+        # x = relaxed v + lambda / RHO, and its dual step leaves
+        # lambda / RHO = x - u, so each iteration's v is recovered from the
+        # projections alone and checked against the marginals the w-step
+        # reads.
+        conditionals, projected, consensus = [], [], []
 
-        def recording(v0, v_hat, y, w_rows, rho, p_matrix):
-            assert rho == RHO
-            v, steps = solve(v0, v_hat, y, w_rows, rho, p_matrix)
-            calls.append((v, w_rows.copy(), p_matrix))
-            return v, steps
+        def record(calls, fn, keep):
+            def recording(*args):
+                out = fn(*args)
+                calls.append(keep(args, out))
+                return out
+            return recording
 
-        monkeypatch.setattr(infer_admm, "_solve_batch", recording)
+        monkeypatch.setattr(infer_admm, "cycle_conditionals", record(
+            conditionals, infer_admm.cycle_conditionals, lambda args, out: out))
+        monkeypatch.setattr(infer_admm, "_project_rows", record(
+            projected, infer_admm._project_rows, lambda args, out: (args[0], out)))
+        monkeypatch.setattr(infer_admm, "consensus_step", record(
+            consensus, infer_admm.consensus_step,
+            lambda args, out: (args[0].copy(), args[4].copy(), out[0])))
         g = generate(SynthSpec(m_lc=30, num_outliers=6, nodes_per_map=8, seed=5))
         fg = build_factor_graph(g, minimum_cycle_basis(g))
         p = ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))
         result = run_admm(fg, p, AdmmOptions(max_iters=4, record_trace=True))
         assert not result.converged
-        w = np.array([result.edge_marginals[eid] for eid in fg.variables])
         groups = fg.cycle_groups
         n = len(groups)
-        # the w each iteration leaves: the next one's input, or the result
-        w_after = [[w_rows for _, w_rows, _ in calls[i : i + n]] for i in range(n, len(calls), n)]
-        w_after.append([w[fg.incidence_var[group.rows]] for group in groups])
-        assert len(w_after) == len(result.trace) == 4
+        assert len(result.trace) == 4 and len(projected) == 4 * n
+        assert len(consensus) == 5  # the warm start, then one per iteration
+        pos = fg.incidence_var
+        degree = np.bincount(pos, minlength=len(fg.variables))
+        u = list(conditionals)  # u starts at v_hat, and lambda at 0
+        scaled_duals = [np.zeros_like(block) for block in u]
         for i, row in enumerate(result.trace):
-            primal = dual = 0.0
-            for (v, w_prev_rows, p_matrix), w_rows in zip(calls[i * n : (i + 1) * n], w_after[i]):
-                primal += float(np.sum((v @ p_matrix.T - w_rows) ** 2))
-                dual += float(np.sum((w_rows - w_prev_rows) ** 2))
-            assert row.primal_residual == pytest.approx(primal, rel=1e-12)
-            assert row.dual_residual == pytest.approx(RHO**2 * dual, rel=1e-12)
+            marginals, w_prev, w = consensus[i + 1]
+            primal = float(np.sum((marginals - w[pos]) ** 2))
+            change = float(np.sum(degree * (w - w_prev) ** 2))
+            for g_idx, group in enumerate(groups):
+                x, u_next = projected[i * n + g_idx]
+                relaxed = x - scaled_duals[g_idx]
+                v = (relaxed - (1.0 - RELAXATION) * u[g_idx]) / RELAXATION
+                p_matrix = marginalization_matrix(group.k)
+                assert v @ p_matrix.T == pytest.approx(marginals[group.rows], abs=1e-12)
+                primal += float(np.sum((v - u_next) ** 2))
+                change += float(np.sum((u_next - u[g_idx]) ** 2))
+                u[g_idx], scaled_duals[g_idx] = u_next, x - u_next
+            assert row.primal_residual == pytest.approx(primal, rel=1e-9)
+            assert row.dual_residual == pytest.approx(RHO**2 * change, rel=1e-9)
             assert row.primal_residual > 1e-6
 
     def test_relaxation_keeps_the_fixed_point(self, monkeypatch):
@@ -656,3 +463,32 @@ class TestRunAdmm:
                     exact.edge_marginals[eid] < 0.5
                 )
         assert agree / total >= 0.82
+
+
+class TestGlobalOptimum:
+    """run_admm at a tight tolerance against one SLSQP solve of the whole
+    consensus QP (reference.consensus_qp_optimum), which shares no code
+    with ADMM: the problem has one optimum in w, whatever the splitting."""
+
+    @staticmethod
+    def assert_at_the_optimum(fg, params):
+        expected = consensus_qp_optimum(fg, params)
+        result = run_admm(fg, params, AdmmOptions(tol=1e-14, max_iters=100_000))
+        assert result.converged
+        assert set(expected) == set(fg.covered_variables)
+        for eid, value in expected.items():
+            assert result.edge_marginals[eid] == pytest.approx(value, abs=1e-6)
+
+    @pytest.mark.parametrize("z_values", [(0.1, 0.3, 0.2), (0.02, 0.5, 0.05), (0.4, 0.01, 0.6)])
+    def test_three_cycle_graph(self, z_values):
+        fg = three_cycle_factor_graph(z_values)
+        self.assert_at_the_optimum(fg, uniform_params(fg.variables))
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_synth_graphs(self, seed):
+        # seed 5 has a cycle of six members, 1 and 2 two of four
+        g = generate(SynthSpec(m_lc=10, num_outliers=4, seed=seed))
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        self.assert_at_the_optimum(
+            fg, ModelParams.from_graph(g, math.radians(2.0), math.radians(20.0))
+        )

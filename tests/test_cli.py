@@ -76,7 +76,7 @@ def test_infer_admm_trace(tmp_path):
     )
     assert result.exit_code == 0, result.output
     lines = trace_file.read_text().splitlines()
-    assert lines[0] == "iter,r,t,steps"
+    assert lines[0] == "iter,r,t"
     assert len(lines) > 1
 
 
@@ -140,7 +140,7 @@ def test_infer_admm_trace_without_cycles(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert result.output.splitlines()[:2] == ["edge_id\tp_inlier", "1\t0.700000000"]
-    assert trace_file.read_text().splitlines() == ["iter,r,t,steps", "1,0,0,0"]
+    assert trace_file.read_text().splitlines() == ["iter,r,t", "1,0,0"]
 
 
 def test_classify_tsv(tmp_path):
@@ -216,6 +216,26 @@ def test_em_trace_csv(tmp_path):
     assert len(lines) >= 2
 
 
+@pytest.mark.parametrize(
+    "command, rounds",
+    [
+        (["em"], "0"),
+        (["em"], "-3"),
+        (["em", "--method", "admm"], "0"),
+        (["classify", "--em"], "0"),
+        (["classify", "--em", "--method", "admm"], "-1"),
+    ],
+)
+def test_em_rounds_below_one_fail_with_one_line(tmp_path, command, rounds):
+    # no EM round would run, and the initial scales would print as fitted
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    result = CliRunner().invoke(
+        main, [command[0], str(graph_file), *command[1:], "--rounds", rounds]
+    )
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [f"Error: max_rounds must be at least 1, got {rounds}"]
+
+
 def test_em_default_exact_on_a_block_over_22_edges(tmp_path):
     # m = 40 couples every loop closure into one 40-edge block, which
     # enumeration refused; elimination needs cliques of a few edges
@@ -289,6 +309,18 @@ def test_synth_suite_and_bench(tmp_path):
         main, ["bench", str(suite_dir), "--methods", "bp,admm", "-o", str(out2)]
     )
     assert out2.read_text() == out_csv.read_text()
+
+
+@pytest.mark.parametrize("methods", ["", ",", " , "])
+def test_bench_without_methods_is_a_usage_error(tmp_path, methods):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    write_small_graph(suite_dir / "g.pgraph")
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["bench", str(suite_dir), "--methods", methods, "-o", str(out)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: --methods names no method"
+    assert not out.exists()
 
 
 def test_bench_threads_match(tmp_path):

@@ -113,6 +113,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             EmConfig(sigma_grid=(0.5,), sigma_bar_grid=(0.4,))
 
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_rejects_no_rounds(self, rounds):
+        # run_em would run no round and return the initial scales as fitted
+        with pytest.raises(ValueError, match=f"^max_rounds must be at least 1, got {rounds}$"):
+            EmConfig(max_rounds=rounds)
+
+    def test_one_round_is_the_least(self):
+        assert EmConfig(max_rounds=1).max_rounds == 1
+
 
 class TestEStep:
     def test_exact_single_cycle_matches_conditional(self):
@@ -347,15 +356,6 @@ class TestRunEm:
         params, _, _ = run_em(fg, truth, cfg)
         assert abs(params.sigma - SIGMA_TRUE) <= math.radians(0.5) + 1e-12
         assert abs(params.sigma_bar - SIGMA_BAR_TRUE) <= math.radians(5.0) + 1e-12
-
-    def test_zero_rounds_returns_init(self):
-        fg, priors = self.build_pooled(master=1, n_graphs=1)
-        init = ModelParams(math.radians(3), math.radians(25), priors)
-        cfg = EmConfig(max_rounds=0, inference=InferenceMethod.EXACT)
-        params, trace, final = run_em(fg, init, cfg)
-        assert params is init
-        assert trace.rounds == ()
-        assert set(final.edge_marginals) == set(fg.variables)
 
     def test_deterministic(self):
         fg, priors = self.build_pooled(master=2, n_graphs=2)

@@ -140,26 +140,28 @@ class TestCoverage:
         assert 5.0 <= math.degrees(params.sigma_bar) <= 20.0
 
 
-def admm_and_final_v(fg, params):
-    """run_admm's result and the distributions v_c it ends with, one 2^k
-    array per factor in factor order, normalized as the fold takes them."""
-    solve = infer_admm._solve_batch
-    solved = []
+def admm_and_final_u(fg, params):
+    """run_admm's result and the simplex copies u_c it ends with, one 2^k
+    array per factor in factor order, normalized as the fold takes them.
+    Each iteration's u-step projects once per group, so the last groups'
+    projections are the final u."""
+    project = infer_admm._project_rows
+    projected = []
 
-    def recording(*args):
-        v, steps = solve(*args)
-        solved.append(v)
-        return v, steps
+    def recording(matrix):
+        u = project(matrix)
+        projected.append(u)
+        return u
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(infer_admm, "_solve_batch", recording)
+        patch.setattr(infer_admm, "_project_rows", recording)
         result = infer_admm.run_admm(fg, params)
     groups = fg.cycle_groups
-    v: list = [None] * len(fg.factors)
-    for group, block in zip(groups, solved[len(solved) - len(groups) :]):
+    u: list = [None] * len(fg.factors)
+    for group, block in zip(groups, projected[len(projected) - len(groups) :]):
         for f_idx, row in zip(group.factors, block):
-            v[f_idx] = np.maximum(row, 0.0) / row.sum()
-    return result, v
+            u[f_idx] = np.maximum(row, 0.0) / row.sum()
+    return result, u
 
 
 class TestCountMarginals:
@@ -179,8 +181,8 @@ class TestCountMarginals:
     @given(factor_graphs())
     def test_admm_equals_fold_of_its_distributions(self, case):
         fg, params = case
-        result, v = admm_and_final_v(fg, params)
-        assert result.count_marginals.tolist() == fold_by_count(v).tolist()
+        result, u = admm_and_final_u(fg, params)
+        assert result.count_marginals.tolist() == fold_by_count(u).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(factor_graphs())
