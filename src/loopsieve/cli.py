@@ -150,13 +150,12 @@ def classify(graph_file, method, threshold, params_deg, use_em, rounds, freeze_p
         for name in ("rounds", "freeze_priors"):
             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
                 raise click.UsageError(f"--{name.replace('_', '-')} is --em only")
+    g = _load_graph(graph_file)
     method_enum = InferenceMethod(method)
     if use_em:
         cfg = EmConfig(
             max_rounds=rounds, inference=method_enum, freeze_priors=freeze_priors
         )
-    g = _load_graph(graph_file)
-    if use_em:
         start = time.perf_counter()
         basis = minimum_cycle_basis(g)
         fg = build_factor_graph(g, basis)
@@ -207,7 +206,8 @@ def em(graph_file, method, rounds, freeze_priors, params_deg, output) -> None:
         freeze_priors=freeze_priors,
     )
     g = _load_graph(graph_file)
-    fg = build_factor_graph(g, minimum_cycle_basis(g))
+    basis = minimum_cycle_basis(g)
+    fg = build_factor_graph(g, basis)
     params, trace, _ = run_em(fg, _params_from(g, *params_deg), cfg)
     lines = ["round,sigma_deg,sigma_bar_deg,q,data_log_likelihood,inference_converged"]
     for row in trace.rounds:
