@@ -27,7 +27,7 @@ from .factorgraph import (
 )
 from .infer_admm import AdmmOptions, run_admm
 from .infer_bp import run_bp
-from .model import ModelParams, log_likelihood_rows
+from .model import ModelParams, likelihood_table
 
 
 def default_sigma_grid() -> tuple[float, ...]:
@@ -185,7 +185,7 @@ def run_em(
     """
     cfg = cfg or EmConfig()
     pairs = cfg.pairs
-    table = log_likelihood_rows(fg.factors, pairs)
+    table = likelihood_table(fg.row_keys, pairs)
     params = init
     rounds: list[EmRound] = []
     previous_q: float | None = None

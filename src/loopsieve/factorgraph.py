@@ -31,9 +31,11 @@ from .graph import PoseGraph, loop_closure_edges
 from .model import (
     CycleFactor,
     ModelParams,
+    RowKeys,
     _popcounts,
     factors_from_basis,
-    log_likelihood_rows,
+    likelihood_row_keys,
+    likelihood_table,
     log_prior_vector,
 )
 
@@ -49,12 +51,14 @@ class CycleGroup:
 
     factors holds their indices in factor order; row r of rows holds the
     incidence rows of factor factors[r], one per member in member order,
-    and row r of count_rows its k + 1 count rows, s = 0 .. k.
+    row r of positions those members' positions in variables, and row r
+    of count_rows its k + 1 count rows, s = 0 .. k.
     """
 
     k: int
     factors: np.ndarray
     rows: np.ndarray
+    positions: np.ndarray
     count_rows: np.ndarray
 
 
@@ -78,9 +82,10 @@ class FactorGraph:
     in factor order, members in member order, so the rows of factor f are
     contiguous. Count rows, one per (factor, s) with s = 0 .. k, run the same
     way: the layout of log_likelihood_rows(factors, pairs) and of
-    InferenceResult.count_marginals. The array-backed views below are built
-    once per graph; :meth:`evidence` is what each back-end reads of the
-    model parameters, once per run.
+    InferenceResult.count_marginals. The array-backed views below hold
+    everything parameter-free that a back-end or EM reads, built once per
+    graph, read-only and shared by every run; :meth:`evidence` is what each
+    back-end reads of the model parameters, once per run.
     """
 
     variables: tuple[int, ...]
@@ -90,8 +95,17 @@ class FactorGraph:
         """(rows, prior): log p(z | s) of every count row under (sigma,
         sigma_bar), and each variable's prior inlier probability, in
         variables order."""
-        rows = log_likelihood_rows(self.factors, [(params.sigma, params.sigma_bar)])[0]
+        rows = likelihood_table(self.row_keys, [(params.sigma, params.sigma_bar)])[0]
         return rows, np.array([params.prior(eid) for eid in self.variables])
+
+    @cached_property
+    def row_keys(self) -> RowKeys:
+        """The factors' likelihood row keys (model.likelihood_row_keys), which
+        evidence and EM's grid table evaluate under each parameter setting."""
+        keys = likelihood_row_keys(self.factors)
+        _read_only(keys.key_of_row)
+        _read_only(keys.z_squared)
+        return keys
 
     @cached_property
     def covered_variables(self) -> tuple[int, ...]:
@@ -107,21 +121,42 @@ class FactorGraph:
         ))
 
     @cached_property
+    def degree(self) -> np.ndarray:
+        """Number of incidences of each variable, in variables order."""
+        return _read_only(np.bincount(self.incidence_var, minlength=len(self.variables)))
+
+    @cached_property
+    def covered_index(self) -> np.ndarray:
+        """Positions in variables of the edges in at least one factor."""
+        return _read_only(np.flatnonzero(self.degree))
+
+    @cached_property
     def cycle_groups(self) -> tuple[CycleGroup, ...]:
         """Factors grouped by member count k, groups in first-appearance order."""
         by_k: dict[int, list[int]] = {}
         for f_idx, factor in enumerate(self.factors):
             by_k.setdefault(len(factor.lc_members), []).append(f_idx)
         starts = np.cumsum([0] + [len(f.lc_members) for f in self.factors])
-        return tuple(
-            CycleGroup(
+        groups = []
+        for k, f_indices in by_k.items():
+            rows = starts[f_indices][:, None] + np.arange(k, dtype=np.intp)
+            groups.append(CycleGroup(
                 k,
                 _read_only(np.array(f_indices, dtype=np.intp)),
-                _read_only(starts[f_indices][:, None] + np.arange(k, dtype=np.intp)),
+                _read_only(rows),
+                _read_only(self.incidence_var[rows]),
                 _read_only(self.row_starts[f_indices][:, None] + np.arange(k + 1, dtype=np.intp)),
-            )
-            for k, f_indices in by_k.items()
-        )
+            ))
+        return tuple(groups)
+
+    @cached_property
+    def count_bins(self) -> np.ndarray:
+        """Count row of every (factor, configuration) pair, groups in order,
+        each group's factors in order and configurations in mask order: the
+        bins that fold a group's (factors, 2^k) tables into count marginals."""
+        return _read_only(np.concatenate([np.empty(0, dtype=np.intp)] + [
+            group.count_rows[:, _popcounts(group.k)].ravel() for group in self.cycle_groups
+        ]))
 
     @cached_property
     def row_starts(self) -> np.ndarray:

@@ -20,10 +20,22 @@ is in closed form. The v-step is one linear solve per cycle,
     v_c = M^-1 (2 v_hat_c + RHO u_c - lambda_c + P_c^T (RHO w_c - y_c)),
     M = (2 + RHO) I + RHO P_c^T P_c,
 
-applied by Woodbury through a k x k matrix built once per run; the u-step
-is the sort-based simplex projection (_project_rows); the w-step averages
-and clamps (consensus_step). Cycles of equal member count are solved in
-one vectorized batch.
+applied by Woodbury as v_c = r / (2 + RHO) - (r P_c^T) G with the
+(k, 2^k) factor G = RHO S^-1 P_c / (2 + RHO), S = (2 + RHO) I + RHO P_c
+P_c^T; the u-step is the sort-based simplex projection (_project_rows);
+the w-step averages and clamps (consensus_step). Cycles of equal member
+count are solved in one vectorized batch.
+
+Each run evaluates a per-graph plan. Everything that does not depend on
+the parameters is built once and shared, read-only, by every run on the
+graph: FactorGraph caches each group's incidence rows and member
+positions (cycle_groups), each edge's degree and the covered-edge index,
+the bins that fold u into count marginals (count_bins) and the likelihood
+row keys that evidence evaluates; _cycle_constants caches P, a contiguous
+P^T and G for each k, since they depend on k and RHO alone. A run builds
+only what the parameters change: the likelihood rows, v_hat and 2 v_hat.
+So EM, which solves one graph once per round, builds the plan once per
+fit.
 
 The consensus state is one flat float64 array per quantity over the
 (factor, member) incidences, in the factor graph's incidence-row order:
@@ -55,6 +67,7 @@ dual residual RHO^2 times the squared change of u and w.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,15 +141,20 @@ class AdmmResult(InferenceResult):
     trace: tuple[AdmmIterationStats, ...] = field(default_factory=tuple)
 
 
+@functools.lru_cache(maxsize=None)
+def _outlier_bits(k: int) -> np.ndarray:
+    """(k, 2^k) read-only: row j is True where bit j of the mask is 1, the
+    configurations in which member j is an outlier."""
+    bits = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1 == 1
+    bits.setflags(write=False)
+    return bits
+
+
 def marginalization_matrix(k: int) -> np.ndarray:
     """(k, 2^k) indicator rows: row j is 1 where bit j of the mask is 0."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    masks = np.arange(1 << k)
-    rows = np.zeros((k, 1 << k))
-    for j in range(k):
-        rows[j, ((masks >> j) & 1) == 0] = 1.0
-    return rows
+    return np.logical_not(_outlier_bits(k)).astype(float)
 
 
 def cycle_conditionals(log_rows: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -150,21 +168,44 @@ def cycle_conditionals(log_rows: np.ndarray, priors: np.ndarray) -> np.ndarray:
     k = priors.shape[1]
     log_p = log_rows[:, _popcounts(k)]
     log_in, log_out = log_prior_vector(priors)
-    masks = np.arange(1 << k)
-    for j in range(k):
-        bit = (masks >> j) & 1
-        log_p = log_p + np.where(bit == 1, log_out[:, j, None], log_in[:, j, None])
+    for j, outlier in enumerate(_outlier_bits(k)):
+        log_p = log_p + np.where(outlier, log_out[:, j, None], log_in[:, j, None])
     log_p -= np.max(log_p, axis=1, keepdims=True)
     p = np.exp(log_p)
     return p / p.sum(axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _cycle_constants(k: int, rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P, P^T, G) of k-member cycles at penalty rho, read-only: P is
+    marginalization_matrix(k), P^T a contiguous copy, and G = rho S^-1 P /
+    (2 + rho) the Woodbury factor, S = (2 + rho) I + rho P P^T, so that the
+    v-step M^-1 r is r / (2 + rho) - (r P^T) G."""
+    p = marginalization_matrix(k)
+    s_inv = np.linalg.inv((2.0 + rho) * np.eye(k) + rho * p @ p.T)
+    constants = (p, np.ascontiguousarray(p.T), rho * s_inv @ p / (2.0 + rho))
+    for array in constants:
+        array.setflags(write=False)
+    return constants
+
+
+@functools.lru_cache(maxsize=None)
+def _projection_steps(n: int) -> np.ndarray:
+    """1 .. n as floats, read-only: the divisors of the simplex projection's
+    running sums."""
+    steps = np.arange(1.0, n + 1.0)
+    steps.setflags(write=False)
+    return steps
+
+
 def _project_rows(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[1]
+    """Euclidean projection of each row onto the probability simplex, by
+    sorting (Held, Wolfe & Crowder 1974)."""
+    rows, n = matrix.shape
     ordered = -np.sort(-matrix, axis=1)
-    cumulative = (np.cumsum(ordered, axis=1) - 1.0) / np.arange(1, n + 1)
-    support = np.sum(ordered > cumulative, axis=1) - 1
-    threshold = cumulative[np.arange(matrix.shape[0]), support]
+    cumulative = (ordered.cumsum(axis=1) - 1.0) / _projection_steps(n)
+    support = (ordered > cumulative).sum(axis=1) - 1
+    threshold = cumulative[np.arange(rows), support]
     return np.maximum(matrix - threshold[:, None], 0.0)
 
 
@@ -176,28 +217,31 @@ def consensus_step(
     w_prev: np.ndarray,
     rho: float,
     alpha: float = 1.0,
+    covered: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The w-update, the dual step and both residuals on flat incidence arrays.
 
     marginals (P_c v_c), y and pos (each member's position in w) hold one
-    entry per incidence; degree is np.bincount(pos) over w. With the relaxed
-    marginals x_hat = alpha P_c v_c + (1 - alpha) w_c^prev (alpha = 1 is
-    plain ADMM), w averages x_hat + y / rho over each edge's incidences, in
-    array order, and is clamped to [0, 1]; edges in no cycle keep w_prev.
-    Then y += rho (x_hat - w_c) with the fresh w. Primal residual: the sum of
-    squared consensus gaps P_c v_c - w_c of the unrelaxed marginals. Dual:
-    rho^2 times the squared w change, counted once per incidence. Returns
-    (w, y, primal, dual).
+    entry per incidence; degree is np.bincount(pos) over w, and covered its
+    nonzero positions (FactorGraph.covered_index), found from degree when
+    not given. With the relaxed marginals x_hat = alpha P_c v_c + (1 -
+    alpha) w_c^prev (alpha = 1 is plain ADMM), w averages x_hat + y / rho
+    over each edge's incidences, in array order, and is clamped to [0, 1];
+    edges in no cycle keep w_prev. Then y += rho (x_hat - w_c) with the
+    fresh w. Primal residual: the sum of squared consensus gaps P_c v_c -
+    w_c of the unrelaxed marginals. Dual: rho^2 times the squared w change,
+    counted once per incidence. Returns (w, y, primal, dual).
     """
+    if covered is None:
+        covered = np.flatnonzero(degree)
     relaxed = alpha * marginals + (1.0 - alpha) * w_prev[pos]
     numerator = np.bincount(pos, weights=relaxed + y / rho, minlength=w_prev.shape[0])
     w = w_prev.copy()
-    covered = degree > 0
-    w[covered] = np.clip(numerator[covered] / degree[covered], 0.0, 1.0)
+    w[covered] = np.minimum(np.maximum(numerator[covered] / degree[covered], 0.0), 1.0)
     w_rows = w[pos]
     gap = marginals - w_rows
-    primal = float(np.sum(gap**2))
-    dual = float(rho**2 * np.sum(degree * (w - w_prev) ** 2))
+    primal = float((gap**2).sum())
+    dual = float(rho**2 * (degree * (w - w_prev) ** 2).sum())
     return w, y + rho * (relaxed - w_rows), primal, dual
 
 
@@ -216,28 +260,18 @@ def run_admm(
     n_edges = len(variables)
 
     # Cycles of equal member count k form one group, solved as one 2-D
-    # block of v, rows in factor order; member_pos[g] holds the positions
-    # in w of its members, (cycles, k).
+    # block of v, rows in factor order (FactorGraph.cycle_groups).
     groups = fg.cycle_groups
     for group in groups:  # refuse before any 2^k table is built
         if group.k > DEFAULT_LC_CAP:
             raise CycleCapError(fg.factors[group.factors[0]].cycle_id, group.k)
     rows, prior = fg.evidence(params)
-    pos = fg.incidence_var
-    member_pos = [pos[group.rows] for group in groups]
-    p_matrices = [marginalization_matrix(group.k) for group in groups]
+    pos, degree, covered = fg.incidence_var, fg.degree, fg.covered_index
+    constants = [_cycle_constants(group.k, RHO) for group in groups]
     v_hat = [
-        cycle_conditionals(rows[group.count_rows], prior[at])
-        for group, at in zip(groups, member_pos)
+        cycle_conditionals(rows[group.count_rows], prior[group.positions]) for group in groups
     ]
-    # The v-step's matrix M = (2 + RHO) I + RHO P^T P is 2^k square; by
-    # Woodbury, M^-1 r = (r - RHO P^T S^-1 P r) / (2 + RHO) with the k x k
-    # S = (2 + RHO) I + RHO P P^T.
-    s_inverses = [
-        np.linalg.inv((2.0 + RHO) * np.eye(group.k) + RHO * p @ p.T)
-        for group, p in zip(groups, p_matrices)
-    ]
-    degree = np.bincount(pos, minlength=n_edges)
+    two_v_hat = [2.0 * block for block in v_hat]
     n_rows = len(pos)
     marginals = np.empty(n_rows)
     y = np.zeros(n_rows)
@@ -246,9 +280,9 @@ def run_admm(
 
     # Warm start w at the average of the incident data-only marginals,
     # and uncovered edges at their prior.
-    for group, block, p in zip(groups, u, p_matrices):
-        marginals[group.rows] = block @ p.T
-    w = consensus_step(marginals, y, pos, degree, prior, RHO)[0]
+    for group, block, (_, p_t, _) in zip(groups, u, constants):
+        marginals[group.rows] = block @ p_t
+    w = consensus_step(marginals, y, pos, degree, prior, RHO, 1.0, covered)[0]
 
     eps = opts.tol * (np.sqrt(max(n_rows, 1)) if opts.scale_tol else 1.0)
 
@@ -259,19 +293,22 @@ def run_admm(
     trace: list[AdmmIterationStats] = []
     for iterations in range(1, opts.max_iters + 1):
         simplex_primal = simplex_change = 0.0
-        for g, (group, p, s_inv) in enumerate(zip(groups, p_matrices, s_inverses)):
+        target = RHO * w[pos] - y  # RHO w_c - y_c of every incidence
+        for g, (group, (p, p_t, woodbury)) in enumerate(zip(groups, constants)):
             at = group.rows
-            r = 2.0 * v_hat[g] + RHO * u[g] - lam[g] + (RHO * w[member_pos[g]] - y[at]) @ p
-            v = (r - RHO * ((r @ p.T) @ s_inv) @ p) / (2.0 + RHO)
-            marginals[at] = v @ p.T
+            r = two_v_hat[g] + RHO * u[g] - lam[g] + target[at] @ p
+            v = r / (2.0 + RHO) - (r @ p_t) @ woodbury
+            marginals[at] = v @ p_t
             relaxed = RELAXATION * v + (1.0 - RELAXATION) * u[g]
             u_next = _project_rows(relaxed + lam[g] / RHO)
             lam[g] += RHO * (relaxed - u_next)
-            simplex_primal += float(np.sum((v - u_next) ** 2))
-            simplex_change += float(np.sum((u_next - u[g]) ** 2))
+            simplex_primal += float(((v - u_next) ** 2).sum())
+            simplex_change += float(((u_next - u[g]) ** 2).sum())
             u[g] = u_next
 
-        w, y, primal, dual = consensus_step(marginals, y, pos, degree, w, RHO, RELAXATION)
+        w, y, primal, dual = consensus_step(
+            marginals, y, pos, degree, w, RHO, RELAXATION, covered
+        )
         primal += simplex_primal
         dual += RHO**2 * simplex_change
         if opts.record_trace:
@@ -291,16 +328,14 @@ def run_admm(
             converged = True
             break
 
-    marginal_map = {eid: float(w[i]) for i, eid in enumerate(variables)}
-    counts = np.empty_like(rows)
-    for group, block in zip(groups, u):
-        # bin r (k + 1) + s adds the entries of row r with s outliers, in mask order
-        bins = np.arange(len(block))[:, None] * (group.k + 1) + _popcounts(group.k)
-        normalized = np.maximum(block, 0.0) / block.sum(axis=1, keepdims=True)
-        folded = np.bincount(bins.ravel(), weights=normalized.ravel())
-        counts[group.count_rows] = folded.reshape(group.count_rows.shape)
+    # fold each u_c into its count rows (FactorGraph.count_bins); each bin
+    # adds its entries in mask order
+    folded = [(np.maximum(block, 0.0) / block.sum(axis=1, keepdims=True)).ravel() for block in u]
+    counts = np.bincount(
+        fg.count_bins, weights=np.concatenate([np.empty(0)] + folded), minlength=len(rows)
+    )
     return AdmmResult(
-        edge_marginals=marginal_map,
+        edge_marginals=dict(zip(variables, w.tolist())),
         count_marginals=counts,
         converged=converged,
         iterations=iterations,

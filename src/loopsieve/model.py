@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,6 +95,46 @@ def _std(s: int, n_inlier: int, sigma: float, sigma_bar: float) -> float:
     return math.sqrt(s * sigma_bar**2 + n_inlier * sigma**2)
 
 
+class RowKeys(NamedTuple):
+    """What log p(z | s) reads of the factors, for every (factor, s) row in
+    the layout of :func:`log_likelihood_rows`: the distinct (s, n_inlier)
+    keys, the index in keys of each row's key, and each row's z^2."""
+
+    keys: tuple[tuple[int, int], ...]
+    key_of_row: np.ndarray
+    z_squared: np.ndarray
+
+
+def likelihood_row_keys(factors: Sequence[CycleFactor]) -> RowKeys:
+    """The parameter-free half of :func:`log_likelihood_rows`, one Python
+    pass over the factors' rows."""
+    keys: dict[tuple[int, int], int] = {}
+    key_of_row: list[int] = []
+    z_squared: list[float] = []
+    for factor in factors:
+        k = len(factor.lc_members)
+        z2 = factor.z**2
+        for s in range(k + 1):
+            key_of_row.append(keys.setdefault((s, factor.n_fixed + k - s), len(keys)))
+            z_squared.append(z2)
+    return RowKeys(tuple(keys), np.array(key_of_row, dtype=np.intp), np.array(z_squared))
+
+
+def likelihood_table(row_keys: RowKeys, pairs: Sequence[tuple[float, float]]) -> np.ndarray:
+    """:func:`log_likelihood_rows` of the factors that row_keys was built from."""
+    keys, rows, z_squared = row_keys
+    scale = np.empty((len(pairs), len(keys)))
+    denom = np.empty_like(scale)
+    log_mass = np.empty_like(scale)
+    for p, (sigma, sigma_bar) in enumerate(pairs):
+        for j, (s, n_inlier) in enumerate(keys):
+            std = _std(s, n_inlier, sigma, sigma_bar)
+            scale[p, j] = -3.0 * math.log(std)
+            denom[p, j] = 2.0 * std**2
+            log_mass[p, j] = math.log(truncated_gaussian_mass(std))
+    return scale[:, rows] - z_squared / denom[:, rows] - log_mass[:, rows]
+
+
 def log_likelihood_rows(
     factors: Sequence[CycleFactor], pairs: Sequence[tuple[float, float]]
 ) -> np.ndarray:
@@ -108,27 +148,10 @@ def log_likelihood_rows(
     (s, n_inlier) and once per factor (CPython's x**2 is pow, which can
     differ from numpy's x*x in the last bit); the rest is numpy arithmetic
     in that order, so each element equals the scalar formula bit for bit.
+    A caller that evaluates the same factors under many parameters builds
+    :func:`likelihood_row_keys` once and calls :func:`likelihood_table`.
     """
-    keys: dict[tuple[int, int], int] = {}
-    key_of_row: list[int] = []
-    z_squared: list[float] = []
-    for factor in factors:
-        k = len(factor.lc_members)
-        z2 = factor.z**2
-        for s in range(k + 1):
-            key_of_row.append(keys.setdefault((s, factor.n_fixed + k - s), len(keys)))
-            z_squared.append(z2)
-    scale = np.empty((len(pairs), len(keys)))
-    denom = np.empty_like(scale)
-    log_mass = np.empty_like(scale)
-    for p, (sigma, sigma_bar) in enumerate(pairs):
-        for (s, n_inlier), j in keys.items():
-            std = _std(s, n_inlier, sigma, sigma_bar)
-            scale[p, j] = -3.0 * math.log(std)
-            denom[p, j] = 2.0 * std**2
-            log_mass[p, j] = math.log(truncated_gaussian_mass(std))
-    rows = np.array(key_of_row, dtype=np.intp)
-    return scale[:, rows] - np.array(z_squared) / denom[:, rows] - log_mass[:, rows]
+    return likelihood_table(likelihood_row_keys(factors), pairs)
 
 
 def log_prior_vector(member_priors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

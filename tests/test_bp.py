@@ -129,17 +129,22 @@ class TestEvidence:
 
     @pytest.mark.parametrize("method", list(InferenceMethod))
     def test_each_back_end_builds_the_rows_once(self, rng, monkeypatch, method):
+        # one table per run, from row keys built once per graph
         fg = mixed_k_fg(rng)
         assert len(fg.cycle_groups) > 1
-        original, calls = factorgraph.log_likelihood_rows, []
+        calls = {}
+        for name in ("likelihood_table", "likelihood_row_keys"):
+            original = getattr(factorgraph, name)
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+            def counting(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
 
-        monkeypatch.setattr(factorgraph, "log_likelihood_rows", counting)
+            monkeypatch.setattr(factorgraph, name, counting)
         e_step(fg, uniform_params(fg.variables), method)
-        assert len(calls) == 1
+        assert calls == {"likelihood_table": 1, "likelihood_row_keys": 1}
+        e_step(fg, uniform_params(fg.variables), method)
+        assert calls == {"likelihood_table": 2, "likelihood_row_keys": 1}
 
 
 class TestLimits:

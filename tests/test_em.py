@@ -418,13 +418,13 @@ class TestRunEm:
         import loopsieve.em as em
 
         calls = []
-        original = em.log_likelihood_rows
+        original = em.likelihood_table
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(em, "log_likelihood_rows", counting)
+        monkeypatch.setattr(em, "likelihood_table", counting)
         fg, priors = self.build_pooled(master=2, n_graphs=2)
         init = ModelParams(math.radians(4), math.radians(30), priors)
         _, trace, _ = run_em(fg, init, EmConfig(max_rounds=5, inference=method))
