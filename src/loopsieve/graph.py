@@ -15,6 +15,7 @@ PRIOR defaults to 1.0 for EGO edges and 0.5 for LC edges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -206,11 +207,14 @@ def _parse_edge(tokens: list[str], lineno: int) -> Edge:
 
 
 def _check_rotation(candidate: np.ndarray, lineno: int) -> np.ndarray:
-    """Accept exact rotations, re-project near-misses, reject the rest."""
-    gap = np.linalg.norm(candidate @ candidate.T - np.eye(3))
-    if gap <= so3.ORTHONORMAL_TOL and np.linalg.det(candidate) > 0:
+    """Accept rotations (so3.is_rotation), re-project near-misses with a
+    positive determinant, refuse the rest, a non-finite entry among them."""
+    if so3.is_rotation(candidate):
         return candidate
-    if gap <= PROJECTION_TOL and np.linalg.det(candidate) > 0:
+    if not np.isfinite(candidate).all():
+        raise GraphFormatError(f"line {lineno}: rotation entries must be finite")
+    gap, det = so3.orthonormal_defects(candidate)
+    if gap <= PROJECTION_TOL and det > 0:
         return so3.project_to_so3(candidate)
     raise GraphFormatError(
         f"line {lineno}: rotation is not orthonormal (|R R^T - I| = {gap:.3g})"
@@ -297,11 +301,15 @@ def parse_g2o(lines: Iterable[str]) -> PoseGraph:
 
 
 def _quat_to_rotation(quat: list[float], lineno: int) -> np.ndarray:
-    qx, qy, qz, qw = quat
-    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-    if norm < 1e-12:
+    if not all(map(math.isfinite, quat)):
+        raise GraphFormatError(f"line {lineno}: quaternion entries must be finite")
+    # math.hypot does not overflow where the squares would; halving every
+    # entry first keeps the norm finite up to the largest float
+    half = [0.5 * q for q in quat]
+    norm = math.hypot(*half)
+    if norm < 0.5e-12:
         raise GraphFormatError(f"line {lineno}: zero-norm quaternion")
-    qx, qy, qz, qw = qx / norm, qy / norm, qz / norm, qw / norm
+    qx, qy, qz, qw = (q / norm for q in half)
     return np.array(
         [
             [1 - 2 * (qy * qy + qz * qz), 2 * (qx * qy - qz * qw), 2 * (qx * qz + qy * qw)],

@@ -7,6 +7,8 @@ are in radians. Rotations are plain 3x3 numpy arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Below this angle the Rodrigues / log coefficients switch to Taylor forms.
@@ -143,14 +145,30 @@ def sample_noisy_rotation(r, sigma: float, rng) -> np.ndarray:
     return exp_so3(eps) @ a
 
 
+def orthonormal_defects(r) -> tuple[float, float]:
+    """(|R R^T - I| in Frobenius norm, det R) of a 3x3 matrix, on Python
+    floats: numpy's per-call cost is most of the work at this size, and a
+    non-finite or overflowing entry yields inf or nan without a warning."""
+    (a, b, c), (d, e, f), (g, h, i) = np.asarray(r, dtype=float).tolist()
+    # R R^T - I is symmetric: its off-diagonal entries count twice
+    d00 = a * a + b * b + c * c - 1.0
+    d11 = d * d + e * e + f * f - 1.0
+    d22 = g * g + h * h + i * i - 1.0
+    d01 = a * d + b * e + c * f
+    d02 = a * g + b * h + c * i
+    d12 = d * g + e * h + f * i
+    gap = math.sqrt(d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12))
+    return gap, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def is_rotation(r, tol: float = ORTHONORMAL_TOL) -> bool:
-    """True if r is orthonormal with det +1, both within tol (Frobenius)."""
-    a = np.asarray(r, dtype=float)
-    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+    """True if r is orthonormal with det +1, both within tol (Frobenius).
+    A matrix with a non-finite entry is not a rotation."""
+    if np.shape(r) != (3, 3):
         return False
-    if np.linalg.norm(a @ a.T - _EYE3) > tol:
-        return False
-    return bool(abs(np.linalg.det(a) - 1.0) <= tol)
+    gap, det = orthonormal_defects(r)
+    # nan fails both comparisons
+    return gap <= tol and abs(det - 1.0) <= tol
 
 
 def require_rotation(r, tol: float = ORTHONORMAL_TOL, what: str = "matrix") -> np.ndarray:

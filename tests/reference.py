@@ -51,6 +51,21 @@ from loopsieve.model import (
     truncated_gaussian_mass,
 )
 
+# --- the rotation test, in numpy -----------------------------------------
+
+
+def reference_is_rotation(r, tol: float = so3.ORTHONORMAL_TOL) -> bool:
+    """so3.is_rotation's rule by numpy's matrix product, norm and LU
+    determinant: finite, |R R^T - I| <= tol in Frobenius norm and
+    |det R - 1| <= tol."""
+    a = np.asarray(r, dtype=float)
+    if a.shape != (3, 3) or not np.all(np.isfinite(a)):
+        return False
+    if np.linalg.norm(a @ a.T - np.eye(3)) > tol:
+        return False
+    return bool(abs(np.linalg.det(a) - 1.0) <= tol)
+
+
 # --- the likelihood, one (factor, s) at a time ---------------------------
 
 

@@ -1,8 +1,11 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopsieve.graph import (
     Edge,
@@ -18,7 +21,7 @@ from loopsieve.graph import (
     parse_graph,
     write_graph,
 )
-from loopsieve.so3 import exp_so3
+from loopsieve.so3 import exp_so3, is_rotation
 from loopsieve.synth import SynthSpec, generate
 
 
@@ -187,3 +190,112 @@ class TestG2oShim:
         lines = ["EDGE_SE3:QUAT 3 7 0 0 0 0 0 0 1"]
         g = parse_g2o(lines)
         assert {n.id for n in g.nodes} == {3, 7}
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_quaternion_refused_without_a_warning(self, value):
+        lines = ["VERTEX_SE3:QUAT 0 0 0 0 0 0 0 1", f"EDGE_SO3:QUAT 0 1 {value} 0 0 1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError, match="^line 2: quaternion entries must be finite$"):
+                parse_g2o(lines)
+
+    def test_huge_quaternion_normalizes_without_overflow(self):
+        # |q| overflows as a sum of squares; the direction (1, 1, 0, 0)/sqrt(2)
+        # is the half-turn about (1, 1, 0)/sqrt(2): R = 2 n n^T - I
+        for value in ("1e200", "1.7e308"):
+            g = parse_g2o([f"EDGE_SO3:QUAT 0 1 {value} {value} 0 0"])
+            n = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+            expected = 2.0 * np.outer(n, n) - np.eye(3)
+            assert np.allclose(g.edges[0].rotation, expected, rtol=0.0, atol=1e-12)
+
+    def test_zero_quaternion_refused(self):
+        with pytest.raises(GraphFormatError, match="^line 1: zero-norm quaternion$"):
+            parse_g2o(["EDGE_SO3:QUAT 0 1 0 0 0 0"])
+
+
+class TestNonFiniteRotations:
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400", "-1e400"])
+    def test_refused_with_the_line_and_no_warning(self, value):
+        entries = ROT.split()
+        entries[4] = value
+        text = f"PGRAPH 1\nNODE 0 0\nNODE 1 0\nEDGE LC 0 0 1 {' '.join(entries)}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError, match="^line 4: rotation entries must be finite$"):
+                parse_graph(text.splitlines())
+
+    def test_overflowing_entry_is_not_orthonormal(self):
+        entries = ROT.split()
+        entries[1] = "1e300"
+        text = f"PGRAPH 1\nNODE 0 0\nNODE 1 0\nEDGE LC 0 0 1 {' '.join(entries)}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphFormatError, match="^line 4: rotation is not orthonormal"):
+                parse_graph(text.splitlines())
+
+
+# --- fuzzing: only the two graph errors may escape either parser ----------
+
+NUMBERS = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "1e200", "1e308",
+        "0", "-0", "1", "-1", "0.5", "1.0000000001", "0.9999999", "2",
+        str(10**30), str(-(10**30)), "9" * 5000,
+    ]),
+    st.integers(-3, 6).map(str),
+    st.floats().map(repr),
+)
+
+
+def _fuzz_file(header, keywords, structured):
+    random_line = st.lists(st.one_of(NUMBERS, st.sampled_from(keywords)), max_size=18)
+    line = st.one_of(structured, random_line.map(" ".join))
+    return st.lists(line, max_size=8).map(lambda lines: header + lines)
+
+
+def _entries(base):
+    """base with some entries replaced by fuzzed numbers."""
+    return st.lists(st.one_of(st.sampled_from(base), NUMBERS), min_size=len(base),
+                    max_size=len(base))
+
+
+_PGRAPH_EDGE = st.tuples(
+    st.sampled_from(["EGO", "LC", "BAD"]), NUMBERS, NUMBERS, NUMBERS,
+    _entries(ROT.split()),
+    st.sampled_from(["", "PRIOR 0.3", "PRIOR nan", "PRIOR inf", "PRIOR 1e400", "TRUTH IN",
+                     "TRUTH OUT", "TRUTH MAYBE", "PRIOR"]),
+).map(lambda t: f"EDGE {t[0]} {t[1]} {t[2]} {t[3]} {' '.join(t[4])} {t[5]}")
+_PGRAPH_NODE = st.tuples(NUMBERS, NUMBERS).map(lambda t: f"NODE {t[0]} {t[1]}")
+_G2O_EDGE = st.tuples(
+    st.sampled_from(["EDGE_SO3:QUAT", "EDGE_SE3:QUAT"]), NUMBERS, NUMBERS,
+    _entries(["0", "0", "0", "0", "0", "0", "1"]),
+).map(lambda t: f"{t[0]} {t[1]} {t[2]} {' '.join(t[3] if t[0] == 'EDGE_SE3:QUAT' else t[3][3:])}")
+_G2O_VERTEX = NUMBERS.map(lambda n: f"VERTEX_SE3:QUAT {n} 0 0 0 0 0 0 1")
+
+
+def _parse_strictly(parse, lines):
+    """Parse with every warning an error; only GraphFormatError and
+    GraphValidationError may escape, and every parsed rotation is one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = parse(lines)
+        except (GraphFormatError, GraphValidationError):
+            return
+    assert all(is_rotation(e.rotation) for e in g.edges)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_file(["PGRAPH 1", "NODE 0 0", "NODE 1 0"],
+                      ["PGRAPH", "NODE", "EDGE", "EGO", "LC", "PRIOR", "TRUTH", "IN", "OUT", "#"],
+                      st.one_of(_PGRAPH_EDGE, _PGRAPH_NODE)))
+    def test_parse_graph(self, lines):
+        _parse_strictly(parse_graph, lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_file([], ["VERTEX_SE3:QUAT", "EDGE_SE3:QUAT", "EDGE_SO3:QUAT", "VERTEX_SO3:QUAT",
+                           "EDGE_SE2", "FIX", "#"],
+                      st.one_of(_G2O_EDGE, _G2O_VERTEX)))
+    def test_parse_g2o(self, lines):
+        _parse_strictly(parse_g2o, lines)

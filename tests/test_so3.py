@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopsieve.so3 import (
+    ORTHONORMAL_TOL,
     exp_so3,
     exp_so3_many,
     geodesic_angle,
@@ -17,6 +19,7 @@ from loopsieve.so3 import (
     sample_noisy_rotation,
     vee,
 )
+from reference import reference_is_rotation
 
 
 def random_tangent(rng, lo=0.0, hi=math.pi):
@@ -224,3 +227,52 @@ class TestProjection:
     def test_idempotent_on_rotations(self, rng):
         r = exp_so3(random_tangent(rng))
         assert np.allclose(project_to_so3(r), r, atol=1e-12)
+
+
+@st.composite
+def near_rotations(draw):
+    """A rotation or a reflection plus noise of 1e-13 to 1e-3 per entry,
+    so that the orthonormality gap falls on both sides of ORTHONORMAL_TOL."""
+    tangent = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    scale = 10.0 ** draw(st.floats(-13.0, -3.0))
+    noise = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9)))
+    return sign * exp_so3(tangent) + scale * noise.reshape(3, 3)
+
+
+any_matrices = st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9).map(
+    lambda entries: np.array(entries).reshape(3, 3)
+)
+
+
+class TestIsRotation:
+    """is_rotation runs on Python floats; reference_is_rotation is the
+    numpy formula it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_rotations(), any_matrices))
+    def test_agrees_with_numpy_away_from_the_boundary(self, m):
+        # the two round differently in the last bits, so matrices within
+        # 1e-12 of either threshold may go either way
+        gap = float(np.linalg.norm(m @ m.T - np.eye(3)))
+        det_gap = abs(float(np.linalg.det(m)) - 1.0)
+        assume(abs(gap - ORTHONORMAL_TOL) > 1e-12)
+        assume(abs(det_gap - ORTHONORMAL_TOL) > 1e-12)
+        assert is_rotation(m) == reference_is_rotation(m)
+
+    def test_tolerance_edges(self, rng):
+        r = exp_so3(random_tangent(rng))
+        assert is_rotation(r)
+        assert is_rotation(r + 1e-11)
+        assert not is_rotation(r + 1e-7)
+        assert is_rotation(r + 1e-7, tol=1e-6)
+        assert not is_rotation(-r)  # det -1
+        assert not is_rotation(np.eye(4))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200, -1e300])
+    def test_non_finite_or_overflowing_entry_is_not_a_rotation(self, value):
+        m = np.eye(3)
+        m[1, 2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_rotation(m)
