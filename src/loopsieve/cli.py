@@ -284,10 +284,29 @@ def suite(scale, seed, m_min, m_max, m_step, nodes_per_map, output_dir) -> None:
     click.echo(f"wrote {count} graphs to {output_dir}", err=True)
 
 
+class _MethodList(click.ParamType):
+    """Comma-separated inference method names: an unknown name, or none, is
+    a usage error."""
+
+    name = "methods"
+
+    def __init__(self):
+        self.choice = click.Choice([m.value for m in InferenceMethod])
+
+    def get_metavar(self, param, ctx=None):
+        return "[" + "|".join(self.choice.choices) + "],..."
+
+    def convert(self, value, param, ctx):
+        names = [name.strip() for name in value.split(",") if name.strip()]
+        if not names:
+            raise click.UsageError("--methods names no method", ctx)
+        return [InferenceMethod(self.choice.convert(name, param, ctx)) for name in names]
+
+
 @main.command("bench")
 @click.argument("suite_dir", type=click.Path(exists=True, file_okay=False))
-@click.option("--methods", default="bp,admm", show_default=True,
-              help="Comma-separated: bp, admm, exact.")
+@click.option("--methods", type=_MethodList(), default="bp,admm", show_default=True,
+              help="Comma-separated method names.")
 @_threshold_option
 @_params_option()
 @click.option("--threads", type=int, default=1, show_default=True)
@@ -299,16 +318,13 @@ def suite(scale, seed, m_min, m_max, m_step, nodes_per_map, output_dir) -> None:
 @_friendly_errors
 def bench(suite_dir, methods, threshold, params_deg, threads, timing, aggregate_path, output) -> None:
     """Classify every graph in a suite directory with every method."""
-    method_list = [InferenceMethod(m.strip()) for m in methods.split(",") if m.strip()]
-    if not method_list:
-        raise click.UsageError("--methods names no method")
     paths = sorted(Path(suite_dir).glob("*.pgraph"))
     if not paths:
         raise click.UsageError(f"no .pgraph files in {suite_dir}")
     items = [(p.stem, _load_graph(str(p))) for p in paths]
     rows, failures = bench_mod.run_benchmark(
         items,
-        method_list,
+        methods,
         params_for=lambda g: _params_from(g, *params_deg),
         threshold=threshold,
         threads=threads,

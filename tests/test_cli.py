@@ -323,6 +323,27 @@ def test_bench_without_methods_is_a_usage_error(tmp_path, methods):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("methods", ["foo", "bp,foo", "bp, admm,BP"])
+def test_bench_unknown_method_is_a_usage_error(tmp_path, methods):
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    write_small_graph(suite_dir / "g.pgraph")
+    out = tmp_path / "r.csv"
+    result = CliRunner().invoke(main, ["bench", str(suite_dir), "--methods", methods, "-o", str(out)])
+    assert result.exit_code == 2
+    bad = [m.strip() for m in methods.split(",") if m.strip() not in ("bp", "admm", "exact")][0]
+    assert result.output.splitlines()[-1] == (
+        f"Error: Invalid value for '--methods': '{bad}' is not one of 'bp', 'admm', 'exact'."
+    )
+    assert not out.exists()
+
+
+def test_bench_help_lists_the_methods():
+    result = CliRunner().invoke(main, ["bench", "--help"])
+    assert result.exit_code == 0
+    assert "--methods [bp|admm|exact],..." in result.output
+
+
 def test_bench_threads_match(tmp_path):
     suite_dir = tmp_path / "suite"
     CliRunner().invoke(
