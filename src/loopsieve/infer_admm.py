@@ -216,24 +216,22 @@ def consensus_step(
     degree: np.ndarray,
     w_prev: np.ndarray,
     rho: float,
-    alpha: float = 1.0,
-    covered: np.ndarray | None = None,
+    alpha: float,
+    covered: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The w-update, the dual step and both residuals on flat incidence arrays.
 
     marginals (P_c v_c), y and pos (each member's position in w) hold one
     entry per incidence; degree is np.bincount(pos) over w, and covered its
-    nonzero positions (FactorGraph.covered_index), found from degree when
-    not given. With the relaxed marginals x_hat = alpha P_c v_c + (1 -
-    alpha) w_c^prev (alpha = 1 is plain ADMM), w averages x_hat + y / rho
-    over each edge's incidences, in array order, and is clamped to [0, 1];
-    edges in no cycle keep w_prev. Then y += rho (x_hat - w_c) with the
-    fresh w. Primal residual: the sum of squared consensus gaps P_c v_c -
-    w_c of the unrelaxed marginals. Dual: rho^2 times the squared w change,
-    counted once per incidence. Returns (w, y, primal, dual).
+    nonzero positions (FactorGraph.degree and covered_index). With the
+    relaxed marginals x_hat = alpha P_c v_c + (1 - alpha) w_c^prev (alpha =
+    1 is plain ADMM), w averages x_hat + y / rho over each edge's
+    incidences, in array order, and is clamped to [0, 1]; edges in no cycle
+    keep w_prev. Then y += rho (x_hat - w_c) with the fresh w. Primal
+    residual: the sum of squared consensus gaps P_c v_c - w_c of the
+    unrelaxed marginals. Dual: rho^2 times the squared w change, counted
+    once per incidence. Returns (w, y, primal, dual).
     """
-    if covered is None:
-        covered = np.flatnonzero(degree)
     relaxed = alpha * marginals + (1.0 - alpha) * w_prev[pos]
     numerator = np.bincount(pos, weights=relaxed + y / rho, minlength=w_prev.shape[0])
     w = w_prev.copy()

@@ -81,9 +81,10 @@ def step(marginals, duals, members_pos, rho, w_prev):
     """consensus_step on per-cycle lists, concatenated in order."""
     pos = np.concatenate(members_pos)
     w_prev = np.asarray(w_prev, dtype=float)
+    degree = np.bincount(pos, minlength=len(w_prev))
     return consensus_step(
         np.concatenate(marginals), np.concatenate(duals), pos,
-        np.bincount(pos, minlength=len(w_prev)), w_prev, rho,
+        degree, w_prev, rho, 1.0, np.flatnonzero(degree),
     )
 
 
@@ -154,7 +155,7 @@ class TestRelaxedStep:
         # unrelaxed gap 0.4 - 0.35
         w, y, r, t = consensus_step(
             np.array([0.4]), np.zeros(1), np.array([0]), np.ones(1, np.intp), np.array([0.5]),
-            2.0, 1.5,
+            2.0, 1.5, np.array([0]),
         )
         assert w == pytest.approx([0.35])
         assert y == pytest.approx([0.0], abs=1e-15)
