@@ -13,7 +13,8 @@ rows of :func:`log_likelihood_rows` by them.
 
 :func:`log_likelihood_rows` is the library's single density: BP's message
 weights, exact elimination, the cycle conditionals that ADMM starts from
-and the EM objective all read it.
+and the EM objective all read it, through :func:`likelihood_table` of row
+keys that each factor graph builds once.
 """
 
 from __future__ import annotations
