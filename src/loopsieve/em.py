@@ -1,15 +1,16 @@
 """Expectation-Maximization over the noise scales and edge priors.
 
 The E-step obtains edge responsibilities and each cycle's outlier-count
-marginals from any inference back-end. The M-step sets each loop-closure
-prior to its inlier responsibility, and picks the (sigma, sigma_bar) grid
-pair maximizing the expected log-likelihood of the cycle errors. The
-expected likelihood of a cycle depends on its configuration only through
-the outlier count, so k + 1 terms per cycle suffice. The grid is scored
-from one table built once per fit, since it depends only on the factors and
-the grid: log p(z | s) for every (cycle, s) row under every candidate pair.
-Each M-step weights it by that round's count marginals, which share its row
-layout, with ties going to the first (smallest) pair.
+marginals from any inference back-end. The M-step sets the prior array to
+the marginal array, both in FactorGraph.variables order (edge ids are read
+only for output), and picks the (sigma, sigma_bar) grid pair maximizing the
+expected log-likelihood of the cycle errors. That depends on a cycle's
+configuration only through the outlier count, so k + 1 terms per cycle
+suffice. The grid is scored from one table built once per fit, since it
+depends only on the factors and the grid: log p(z | s) for every (cycle, s)
+row under every candidate pair. Each M-step weights it by that round's
+count marginals, which share its row layout, with ties going to the first
+(smallest) pair.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .factorgraph import (
 )
 from .infer_admm import AdmmOptions, run_admm
 from .infer_bp import run_bp
-from .model import ModelParams, likelihood_table
+from .model import ModelParams, likelihood_table, log_prior_vector
 
 
 def default_sigma_grid() -> tuple[float, ...]:
@@ -123,14 +124,10 @@ def e_step(
     raise ValueError(f"unknown inference method {method}")
 
 
-def m_step_priors(
-    edge_marginals: dict[int, float], params: ModelParams
-) -> dict[int, float]:
-    """Each loop-closure prior becomes the edge's inlier responsibility."""
-    return {
-        eid: min(1.0, max(0.0, float(edge_marginals.get(eid, prior))))
-        for eid, prior in params.priors.items()
-    }
+def m_step_priors(marginals: np.ndarray) -> np.ndarray:
+    """Each variable's prior becomes its inlier responsibility, clipped to
+    [0, 1]; both arrays are in variables order."""
+    return np.clip(marginals, 0.0, 1.0)
 
 
 def m_step_sigmas(
@@ -152,23 +149,18 @@ def m_step_sigmas(
 
 
 def q_value(
-    fg: FactorGraph,
-    responsibilities: InferenceResult,
-    params: ModelParams,
-    cycle_term: float,
+    responsibilities: InferenceResult, params: ModelParams, cycle_term: float
 ) -> float:
     """Expected complete-data log-likelihood of `params` under the given
-    responsibilities: the edge-prior terms plus `cycle_term`, the expected
-    cycle log-likelihood that :func:`m_step_sigmas` returned."""
-    total = 0.0
-    for eid in fg.variables:
-        gamma = responsibilities.edge_marginals[eid]
-        pi = params.prior(eid)
-        if gamma > 0.0:
-            total += gamma * (math.log(pi) if pi > 0 else -math.inf)
-        if gamma < 1.0:
-            total += (1.0 - gamma) * (math.log1p(-pi) if pi < 1 else -math.inf)
-    return total + cycle_term
+    responsibilities: the prior terms of every variable plus `cycle_term`,
+    the expected cycle log-likelihood that :func:`m_step_sigmas` returned."""
+    gamma = responsibilities.marginals
+    log_in, log_out = log_prior_vector(params.priors)
+    with np.errstate(invalid="ignore"):  # a term of weight 0 adds 0, even at -inf
+        terms = np.where(gamma > 0.0, gamma * log_in, 0.0) + np.where(
+            gamma < 1.0, (1.0 - gamma) * log_out, 0.0
+        )
+    return float(terms.sum()) + cycle_term
 
 
 def run_em(
@@ -191,16 +183,12 @@ def run_em(
     previous_q: float | None = None
     for round_index in range(1, cfg.max_rounds + 1):
         responsibilities = e_step(fg, params, cfg.inference)
-        priors = (
-            dict(params.priors)
-            if cfg.freeze_priors
-            else m_step_priors(responsibilities.edge_marginals, params)
-        )
+        priors = params.priors if cfg.freeze_priors else m_step_priors(responsibilities.marginals)
         (sigma, sigma_bar), cycle_term = m_step_sigmas(
             responsibilities.count_marginals, table, pairs
         )
         params = ModelParams(sigma, sigma_bar, priors)
-        q = q_value(fg, responsibilities, params, cycle_term)
+        q = q_value(responsibilities, params, cycle_term)
         rounds.append(
             EmRound(
                 round_index,

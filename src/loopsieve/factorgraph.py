@@ -4,11 +4,13 @@ Every loop-closure edge is a binary variable (0 = inlier, 1 = outlier) with a
 unary prior factor; every basis cycle that contains at least one loop-closure
 edge contributes an evidence factor. FactorGraph.evidence(params) is all
 that BP, ADMM and exact inference read of the model parameters: log p(z | s)
-for every (factor, s) row and every edge's prior. Exact posterior marginals,
-the reference all approximate back-ends are tested against, come from
-sum-product bucket elimination in the log domain (Dechter, "Bucket
-elimination", Artificial Intelligence 1999; Koller & Friedman,
-Probabilistic Graphical Models, 2009, ch. 9-10).
+for every (factor, s) row and the prior array. Inference addresses a
+variable by its position in FactorGraph.variables: priors and every
+back-end's marginals are arrays in that order, and the edge ids there serve
+output only. Exact posterior marginals, the reference all approximate
+back-ends are tested against, come from sum-product bucket elimination in
+the log domain (Dechter, "Bucket elimination", Artificial Intelligence 1999;
+Koller & Friedman, Probabilistic Graphical Models, 2009, ch. 9-10).
 
 The cost is set by the elimination cliques, not by the size of a connected
 block: a clique of c edges is one float64 table of 2^c entries, and the
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -76,7 +79,7 @@ class InferenceMethod(Enum):
 
 @dataclass(frozen=True)
 class FactorGraph:
-    """Variables are loop-closure edge ids; factors are basis cycles.
+    """Variables are loop-closure edge ids, kept for output; factors are cycles.
 
     An incidence is one (factor, member) pair. Incidence rows are numbered
     in factor order, members in member order, so the rows of factor f are
@@ -92,11 +95,12 @@ class FactorGraph:
     factors: tuple[CycleFactor, ...]
 
     def evidence(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, prior): log p(z | s) of every count row under (sigma,
-        sigma_bar), and each variable's prior inlier probability, in
-        variables order."""
+        """(rows, params.priors): log p(z | s) of every count row under
+        (sigma, sigma_bar), and the priors, checked to be one per variable."""
+        if len(params.priors) != len(self.variables):
+            raise ValueError(f"got {len(params.priors)} priors for {len(self.variables)} variables")
         rows = likelihood_table(self.row_keys, [(params.sigma, params.sigma_bar)])[0]
-        return rows, np.array([params.prior(eid) for eid in self.variables])
+        return rows, params.priors
 
     @cached_property
     def row_keys(self) -> RowKeys:
@@ -109,8 +113,8 @@ class FactorGraph:
 
     @cached_property
     def covered_variables(self) -> tuple[int, ...]:
-        in_cycle = {eid for f in self.factors for eid in f.lc_members}
-        return tuple(eid for eid in self.variables if eid in in_cycle)
+        """Ids of the edges in at least one factor, for output."""
+        return tuple(self.variables[i] for i in self.covered_index)
 
     @cached_property
     def incidence_var(self) -> np.ndarray:
@@ -183,18 +187,24 @@ class FactorGraph:
 class InferenceResult:
     """Marginals from any back-end, in a common shape.
 
-    edge_marginals maps every loop-closure edge id to its inlier probability.
-    count_marginals holds each factor's distribution of its outlier count s,
-    one float64 entry per count row of the factor graph (s = 0 .. k per
-    factor, factors in order). log_evidence is filled in only by exact
-    inference.
+    marginals holds each variable's inlier probability, in the order of
+    variables. count_marginals holds each factor's distribution of its
+    outlier count s, one float64 entry per count row of the factor graph
+    (s = 0 .. k per factor, factors in order). log_evidence is filled in
+    only by exact inference.
     """
 
-    edge_marginals: dict[int, float]
+    variables: tuple[int, ...]
+    marginals: np.ndarray
     count_marginals: np.ndarray
     converged: bool
     iterations: int
     log_evidence: float = float("nan")
+
+    @cached_property
+    def edge_marginals(self) -> dict[int, float]:
+        """Each edge id's inlier probability, for output."""
+        return dict(zip(self.variables, self.marginals.tolist()))
 
 
 def check_iteration_limits(max_iters: int, tol: float) -> None:
@@ -214,38 +224,38 @@ def build_factor_graph(g: PoseGraph, basis: CycleBasis) -> FactorGraph:
     return FactorGraph(variables, factors)
 
 
-def _min_fill_cliques(fg: FactorGraph) -> list[tuple[int, ...]]:
+def _min_fill_cliques(fg: FactorGraph, scopes: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Greedy min-fill elimination of the covered variables, symbolically.
 
-    The members of one factor are pairwise adjacent. Each step eliminates
-    the variable whose neighbours lack the fewest edges among themselves,
-    ties going to the lower degree and then the lower edge id, and joins
-    its neighbours. Returns one clique of edge ids per step: the variable
-    eliminated at that step first, then its neighbours at that time in
-    elimination order. Raises ValueError on a clique over
-    EXACT_CLIQUE_LIMIT before any table exists.
+    The members of each scope, one factor's member positions, are pairwise
+    adjacent. Each step eliminates the variable whose neighbours lack the
+    fewest edges among themselves, ties going to the lower degree and then
+    the lower edge id, and joins its neighbours. Returns one clique of
+    positions per step: the variable eliminated at that step first, then its
+    neighbours at that time in elimination order. Raises ValueError on a
+    clique over EXACT_CLIQUE_LIMIT before any table exists.
     """
-    adjacent: dict[int, set[int]] = {eid: set() for eid in fg.covered_variables}
-    for factor in fg.factors:
-        members = set(factor.lc_members)
+    adjacent: dict[int, set[int]] = {v: set() for v in fg.covered_index.tolist()}
+    for scope in scopes:
+        members = set(scope)
         for v in members:
             adjacent[v] |= members - {v}
 
-    def score(v: int) -> tuple[int, int, int]:
+    def score(v: int) -> tuple[int, int, int, int]:
         nbrs = adjacent[v]
         missing = sum(len(nbrs - adjacent[u]) - 1 for u in nbrs) // 2
-        return missing, len(nbrs), v
+        return missing, len(nbrs), fg.variables[v], v
 
     scores = {v: score(v) for v in adjacent}
     steps: list[tuple[int, set[int]]] = []
     while scores:
-        v = min(scores.values())[2]
+        v = min(scores.values())[3]
         del scores[v]
         nbrs = adjacent.pop(v)
         if len(nbrs) + 1 > EXACT_CLIQUE_LIMIT:
             raise ValueError(
                 f"exact inference needs an elimination clique of {len(nbrs) + 1} "
-                f"edges, over the limit of {EXACT_CLIQUE_LIMIT}"
+                f"edges, over the limit of {EXACT_CLIQUE_LIMIT}; use method bp"
             )
         for u in nbrs:
             adjacent[u] |= nbrs
@@ -295,21 +305,22 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
     Edge marginals and count marginals are read from the calibrated bucket
     beliefs. Edges outside every cycle factor keep their prior.
     """
-    cliques = _min_fill_cliques(fg)
+    flat = iter(fg.incidence_var.tolist())  # each factor's member positions
+    scopes = [tuple(islice(flat, len(f.lc_members))) for f in fg.factors]
+    cliques = _min_fill_cliques(fg, scopes)
     rows, prior = fg.evidence(params)
-    # every edge starts at its prior, so each bucket's prior is read from here
-    marginals: dict[int, float] = dict(zip(fg.variables, prior.tolist()))
+    marginals = prior.copy()
     counts = np.zeros_like(rows)
     bucket_of = {clique[0]: i for i, clique in enumerate(cliques)}
-    log_in, log_out = log_prior_vector(np.array([marginals[clique[0]] for clique in cliques]))
+    log_in, log_out = log_prior_vector(prior[[clique[0] for clique in cliques]])
     local: list[np.ndarray | None] = []
     for i, clique in enumerate(cliques):
         table = np.zeros((2,) * len(clique))
         table += _broadcast(np.array([log_in[i], log_out[i]]), clique[:1], clique)
         local.append(table)
     assigned: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cliques]
-    for f_idx, factor in enumerate(fg.factors):
-        scope = tuple(sorted(factor.lc_members, key=bucket_of.__getitem__))
+    for f_idx, members in enumerate(scopes):
+        scope = tuple(sorted(members, key=bucket_of.__getitem__))
         bucket = bucket_of[scope[0]]
         start = fg.row_starts[f_idx]
         by_count = rows[start : start + len(scope) + 1]
@@ -348,7 +359,7 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
             belief += message
         belief -= np.max(belief)
         prob = np.exp(belief, out=belief)
-        marginals[clique[0]] = float(prob[0].sum() / prob.sum())
+        marginals[clique[0]] = prob[0].sum() / prob.sum()
         for f_idx, scope in assigned[i]:
             axes = _axes_outside(clique, scope)
             table = prob.sum(axis=axes) if axes else prob
@@ -359,4 +370,4 @@ def exact_marginals(fg: FactorGraph, params: ModelParams) -> InferenceResult:
         for c in children[i]:
             up[c] = None
 
-    return InferenceResult(marginals, counts, True, 1, log_evidence=log_z)
+    return InferenceResult(fg.variables, marginals, counts, True, 1, log_evidence=log_z)

@@ -255,8 +255,6 @@ def run_admm(
     outlier-count marginals of the per-cycle distributions u_c.
     """
     opts = opts or AdmmOptions()
-    variables = fg.variables
-    n_edges = len(variables)
 
     # Cycles of equal member count k form one group, solved as one 2-D
     # block of v, rows in factor order (FactorGraph.cycle_groups).
@@ -319,8 +317,8 @@ def run_admm(
                     max(float(np.abs(block.sum(axis=1) - 1.0).max()) for block in u)
                     if u else 0.0,
                     min(float(block.min()) for block in u) if u else 0.0,
-                    float(w.min()) if n_edges else 0.0,
-                    float(w.max()) if n_edges else 0.0,
+                    float(w.min()) if w.size else 0.0,
+                    float(w.max()) if w.size else 0.0,
                 )
             )
         if primal <= eps and dual <= eps:
@@ -334,7 +332,8 @@ def run_admm(
         fg.count_bins, weights=np.concatenate([np.empty(0)] + folded), minlength=len(rows)
     )
     return AdmmResult(
-        edge_marginals=dict(zip(variables, w.tolist())),
+        variables=fg.variables,
+        marginals=w,
         count_marginals=counts,
         converged=converged,
         iterations=iterations,

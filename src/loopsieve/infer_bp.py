@@ -146,7 +146,6 @@ def run_bp(
     for d in range(var_rows.shape[1]):
         belief = belief * to_var[var_rows[:, d]]
     belief = _normalize(belief)
-    marginals = {eid: float(b) for eid, b in zip(fg.variables, belief[:, 0])}
 
     # Each message sums to 1, so each convolution does and its largest entry
     # is at least 1 / (k + 1); the floor on w keeps every total above 0.
@@ -156,4 +155,4 @@ def run_bp(
         c *= np.maximum(w, MESSAGE_FLOOR)
         counts[group.count_rows] = c / c.sum(axis=1, keepdims=True)
 
-    return InferenceResult(marginals, counts, converged, iterations)
+    return InferenceResult(fg.variables, belief[:, 0], counts, converged, iterations)

@@ -14,7 +14,8 @@ rows of :func:`log_likelihood_rows` by them.
 :func:`log_likelihood_rows` is the library's single density: BP's message
 weights, exact elimination, the cycle conditionals that ADMM starts from
 and the EM objective all read it, through :func:`likelihood_table` of row
-keys that each factor graph builds once.
+keys that each factor graph builds once. :class:`ModelParams` holds the
+priors as an array in FactorGraph.variables order, without edge ids.
 """
 
 from __future__ import annotations
@@ -27,18 +28,19 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cycles import CycleBasis, cycle_errors
-from .graph import EdgeKind, PoseGraph
+from .graph import EdgeKind, PoseGraph, loop_closure_edges
 
 _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Noise scales (radians) and per-edge prior inlier probabilities."""
+    """Noise scales (radians) and each variable's prior inlier probability,
+    a read-only float64 array in FactorGraph.variables order."""
 
     sigma: float
     sigma_bar: float
-    priors: Mapping[int, float] = field(default_factory=dict)
+    priors: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
         if not (0.0 < self.sigma < self.sigma_bar):
@@ -46,24 +48,21 @@ class ModelParams:
                 f"need 0 < sigma < sigma_bar, got sigma={self.sigma}, "
                 f"sigma_bar={self.sigma_bar}"
             )
-        for eid, p in self.priors.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"prior for edge {eid} must be in [0, 1], got {p}")
-        object.__setattr__(self, "priors", dict(self.priors))
-
-    def prior(self, edge_id: int) -> float:
-        try:
-            return self.priors[edge_id]
-        except KeyError:
-            raise KeyError(f"no prior recorded for edge {edge_id}") from None
+        if isinstance(self.priors, Mapping):
+            raise TypeError("priors must be an array in FactorGraph.variables order, not a mapping")
+        priors = np.array(self.priors, dtype=np.float64)
+        if priors.ndim != 1:
+            raise ValueError(f"priors must be 1-D, got shape {priors.shape}")
+        bad = np.flatnonzero(~((priors >= 0.0) & (priors <= 1.0)))
+        if bad.size:
+            raise ValueError(f"prior at position {bad[0]} must be in [0, 1], got {priors[bad[0]]}")
+        priors.setflags(write=False)
+        object.__setattr__(self, "priors", priors)
 
     @classmethod
     def from_graph(cls, g: PoseGraph, sigma: float, sigma_bar: float) -> "ModelParams":
-        """Take loop-closure priors from the graph's per-edge values."""
-        priors = {
-            e.id: e.prior_inlier for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE
-        }
-        return cls(sigma, sigma_bar, priors)
+        """Loop-closure priors from the graph's edges, in loop_closure_edges(g) order."""
+        return cls(sigma, sigma_bar, [e.prior_inlier for e in loop_closure_edges(g)])
 
 
 @dataclass(frozen=True)

@@ -259,8 +259,9 @@ def mean_count_gaps(fg: FactorGraph, result) -> np.ndarray:
     return np.array(gaps)
 
 
-def uniform_params(edge_ids, sigma=math.radians(2.0), sigma_bar=math.radians(20.0), prior=0.5):
-    return ModelParams(sigma, sigma_bar, {eid: prior for eid in edge_ids})
+def uniform_params(variables, sigma=math.radians(2.0), sigma_bar=math.radians(20.0), prior=0.5):
+    """One prior for every variable, as an array in the order of variables."""
+    return ModelParams(sigma, sigma_bar, np.full(len(variables), prior))
 
 
 @pytest.fixture

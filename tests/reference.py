@@ -38,7 +38,7 @@ from loopsieve.cycles import (
     validate_cycle,
 )
 from loopsieve.factorgraph import FactorGraph, InferenceResult
-from loopsieve.graph import EdgeKind, PoseGraph
+from loopsieve.graph import EdgeKind, PoseGraph, loop_closure_edges
 from loopsieve.infer_admm import _project_rows
 from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
 from loopsieve.model import (
@@ -64,6 +64,16 @@ def reference_is_rotation(r, tol: float = so3.ORTHONORMAL_TOL) -> bool:
     if np.linalg.norm(a @ a.T - np.eye(3)) > tol:
         return False
     return bool(abs(np.linalg.det(a) - 1.0) <= tol)
+
+
+# --- priors by edge id ---------------------------------------------------
+
+
+def priors_by_id(variables, params: ModelParams) -> dict[int, float]:
+    """Each variable's prior inlier probability by edge id, params.priors
+    being in the order of variables: the one place the oracles turn the
+    library's prior array back into a mapping."""
+    return dict(zip(variables, params.priors.tolist()))
 
 
 # --- the likelihood, one (factor, s) at a time ---------------------------
@@ -94,16 +104,17 @@ def log_likelihood_table(factor: CycleFactor, params: ModelParams) -> np.ndarray
     return np.array([log_cycle_likelihood(factor, s, params) for s in range(k + 1)])
 
 
-def cycle_conditional(factor: CycleFactor, params: ModelParams) -> np.ndarray:
+def cycle_conditional(factor: CycleFactor, params: ModelParams, variables) -> np.ndarray:
     """Posterior over the cycle's own 2^k configurations given its error alone,
-    as a loop over member bits.
+    as a loop over member bits; params.priors is in the order of variables.
 
     p(mask) is proportional to p(z | popcount(mask)) times the member priors.
     """
     k = len(factor.lc_members)
     masks = np.arange(1 << k)
     log_p = log_likelihood_table(factor, params)[[bin(m).count("1") for m in masks]]
-    log_in, log_out = log_prior_vector(np.array([params.prior(e) for e in factor.lc_members]))
+    prior = priors_by_id(variables, params)
+    log_in, log_out = log_prior_vector(np.array([prior[e] for e in factor.lc_members]))
     for j in range(k):
         bit = (masks >> j) & 1
         log_p = log_p + np.where(bit == 1, log_out[j], log_in[j])
@@ -139,8 +150,10 @@ def joint_log_density(
 ) -> float:
     """Log of the unnormalized joint: edge priors times cycle likelihoods.
 
-    ``x`` must assign 0 (inlier) or 1 (outlier) to every loop-closure edge.
+    ``x`` must assign 0 (inlier) or 1 (outlier) to every loop-closure edge,
+    and params.priors is in loop_closure_edges(g) order.
     """
+    prior = priors_by_id([e.id for e in loop_closure_edges(g)], params)
     total = 0.0
     for edge in g.edges:
         if edge.kind is not EdgeKind.LOOP_CLOSURE:
@@ -150,8 +163,7 @@ def joint_log_density(
         state = x[edge.id]
         if state not in (0, 1):
             raise ValueError(f"edge {edge.id}: state must be 0 or 1, got {state}")
-        pi = params.prior(edge.id)
-        term = pi if state == 0 else 1.0 - pi
+        term = prior[edge.id] if state == 0 else 1.0 - prior[edge.id]
         total += math.log(term) if term > 0 else -math.inf
     for factor in factors_from_basis(g, basis):
         s = sum(x[eid] for eid in factor.lc_members)
@@ -432,9 +444,8 @@ def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> Inference
     """Posterior marginals by enumeration, one connected block at a time,
     with one int64 array of 2^n states per factor and per-member bit masks;
     each factor's 2^k configuration posterior is folded by count."""
-    marginals: dict[int, float] = {
-        eid: params.prior(eid) for eid in fg.variables
-    }
+    prior = priors_by_id(fg.variables, params)
+    marginals = dict(prior)
     beliefs: list[np.ndarray | None] = [None] * len(fg.factors)
     # factor f's log p(z | s), s = 0 .. k, is rows[offsets[f] : offsets[f + 1]]
     rows = log_likelihood_rows(fg.factors, [(params.sigma, params.sigma_bar)])[0]
@@ -451,7 +462,7 @@ def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> Inference
         masks = np.arange(1 << n, dtype=np.int64)
         log_p = np.zeros(1 << n)
         for eid in var_ids:
-            log_in, log_out = log_prior_vector(np.array([params.prior(eid)]))
+            log_in, log_out = log_prior_vector(np.array([prior[eid]]))
             bit = (masks >> position[eid]) & 1
             log_p = log_p + np.where(bit == 1, log_out[0], log_in[0])
         local_masks = {}
@@ -480,7 +491,14 @@ def reference_exact_marginals(fg: FactorGraph, params: ModelParams) -> Inference
             values = np.bincount(local_masks[f_idx], weights=prob, minlength=1 << k)
             beliefs[f_idx] = values / values.sum()
 
-    return InferenceResult(marginals, fold_by_count(beliefs), True, 1, log_evidence=log_z)
+    return InferenceResult(
+        fg.variables,
+        np.array([marginals[eid] for eid in fg.variables]),
+        fold_by_count(beliefs),
+        True,
+        1,
+        log_evidence=log_z,
+    )
 
 
 # --- BP, one message at a time -------------------------------------------
@@ -497,8 +515,8 @@ class MessageState:
     to_factor: dict[tuple[int, int], np.ndarray]
 
 
-def prior_message(params: ModelParams, edge_id: int) -> np.ndarray:
-    pi = params.prior(edge_id)
+def prior_message(fg: FactorGraph, params: ModelParams, edge_id: int) -> np.ndarray:
+    pi = priors_by_id(fg.variables, params)[edge_id]
     return np.array([pi, 1.0 - pi])
 
 
@@ -520,7 +538,7 @@ def var_to_factor(
     f_idx: int,
 ) -> np.ndarray:
     """Product of the prior and all other incoming factor messages."""
-    out = prior_message(params, edge_id).copy()
+    out = prior_message(fg, params, edge_id).copy()
     for other in var_factors(fg)[edge_id]:
         if other != f_idx:
             out = out * state.to_var[(other, edge_id)]
@@ -593,7 +611,7 @@ def init_messages(fg: FactorGraph, params: ModelParams) -> MessageState:
     for f_idx, factor in enumerate(fg.factors):
         for eid in factor.lc_members:
             to_var[(f_idx, eid)] = np.array([0.5, 0.5])
-            to_factor[(eid, f_idx)] = prior_message(params, eid)
+            to_factor[(eid, f_idx)] = prior_message(fg, params, eid)
     return MessageState(to_var, to_factor)
 
 
@@ -687,7 +705,7 @@ def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_T
 
     marginals = {}
     for eid in fg.variables:
-        belief = prior_message(params, eid)
+        belief = prior_message(fg, params, eid)
         for f_idx in var_factors(fg)[eid]:
             belief = belief * state.to_var[(f_idx, eid)]
         marginals[eid] = belief[0] / belief.sum()
@@ -716,7 +734,7 @@ def consensus_qp_optimum(fg: FactorGraph, params: ModelParams) -> dict[int, floa
     scipy_opt = pytest.importorskip("scipy.optimize")
     covered = sorted({eid for f in fg.factors for eid in f.lc_members})
     at_w = {eid: i for i, eid in enumerate(covered)}
-    targets = [cycle_conditional(f, params) for f in fg.factors]
+    targets = [cycle_conditional(f, params, fg.variables) for f in fg.factors]
     starts = np.cumsum([0] + [t.shape[0] for t in targets])
     n_v = int(starts[-1])
     equalities = []  # rows (a, b): a @ x = b

@@ -20,7 +20,6 @@ from loopsieve.bench import rows_to_csv, run_benchmark
 from loopsieve.cycles import minimum_cycle_basis
 from loopsieve.em import EmConfig, run_em
 from loopsieve.factorgraph import InferenceMethod, build_factor_graph, exact_marginals
-from loopsieve.graph import EdgeKind
 from loopsieve.infer_admm import AdmmOptions, run_admm
 from loopsieve.infer_bp import run_bp
 from loopsieve.model import ModelParams
@@ -240,10 +239,7 @@ def test_criterion_8_em_recovery():
         for j in range(4)
     ]
     fg = pooled_factor_graph(graphs)
-    priors = {}
-    for g in graphs:
-        priors.update({e.id: 0.5 for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE})
-    init = ModelParams(math.radians(4.0), math.radians(30.0), priors)
+    init = ModelParams(math.radians(4.0), math.radians(30.0), np.full(len(fg.variables), 0.5))
     cfg = EmConfig(max_rounds=15, inference=InferenceMethod.EXACT)
     params, trace, _ = run_em(fg, init, cfg)
     lls = [r.data_log_likelihood for r in trace.rounds]

@@ -252,12 +252,11 @@ class TestRunAdmm:
     def test_single_cycle_matches_conditional(self, rng):
         for _ in range(5):
             k = int(rng.integers(1, 4))
-            priors = {i: float(rng.uniform(0.3, 0.8)) for i in range(k)}
-            p = ModelParams(0.03, 0.3, priors)
+            p = ModelParams(0.03, 0.3, rng.uniform(0.3, 0.8, k))
             f = CycleFactor(0, tuple(range(k)), 1, float(rng.uniform(0, 0.7)))
             fg = FactorGraph(tuple(range(k)), (f,))
             result = run_admm(fg, p, AdmmOptions(scale_tol=False, tol=1e-10))
-            dist = cycle_conditional(f, p)
+            dist = cycle_conditional(f, p, fg.variables)
             for j, eid in enumerate(f.lc_members):
                 assert result.edge_marginals[eid] == pytest.approx(
                     inlier_marginal(dist, j), abs=1e-4
@@ -270,7 +269,7 @@ class TestRunAdmm:
         p = uniform_params(range(4), prior=0.6)
         result = run_admm(fg, p, AdmmOptions(scale_tol=False, tol=1e-10))
         for f in (f0, f1):
-            dist = cycle_conditional(f, p)
+            dist = cycle_conditional(f, p, fg.variables)
             for j, eid in enumerate(f.lc_members):
                 assert result.edge_marginals[eid] == pytest.approx(
                     inlier_marginal(dist, j), abs=1e-4
@@ -278,13 +277,13 @@ class TestRunAdmm:
 
     def test_uncovered_edge_keeps_prior(self):
         fg = FactorGraph((0, 1, 7), (CycleFactor(0, (0, 1), 0, 0.2),))
-        p = ModelParams(0.03, 0.3, {0: 0.5, 1: 0.5, 7: 0.61})
+        p = ModelParams(0.03, 0.3, [0.5, 0.5, 0.61])
         result = run_admm(fg, p)
         assert result.edge_marginals[7] == pytest.approx(0.61)
 
     def test_trace_without_cycle_factors(self):
         fg = FactorGraph((1,), ())
-        p = ModelParams(0.03, 0.3, {1: 0.5})
+        p = ModelParams(0.03, 0.3, [0.5])
         result = run_admm(fg, p, AdmmOptions(record_trace=True))
         assert result.converged and result.iterations == 1
         assert result.edge_marginals == {1: 0.5}

@@ -119,13 +119,21 @@ class TestIncidence:
 class TestEvidence:
     def test_rows_and_priors_in_factor_graph_order(self, rng):
         fg = mixed_k_fg(rng)
-        p = ModelParams(0.03, 0.3, {eid: 0.1 * (i + 1) for i, eid in enumerate(fg.variables)})
+        p = ModelParams(0.03, 0.3, 0.1 * np.arange(1, len(fg.variables) + 1))
         rows, prior = fg.evidence(p)
         expected = [
             log_cycle_likelihood(f, s, p) for f in fg.factors for s in range(len(f.lc_members) + 1)
         ]
         assert rows.tolist() == expected
-        assert prior.tolist() == [p.prior(eid) for eid in fg.variables]
+        assert prior is p.priors
+
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    @pytest.mark.parametrize("n_priors", [0, 8, 10])
+    def test_each_back_end_refuses_a_prior_array_of_the_wrong_length(self, rng, method, n_priors):
+        fg = mixed_k_fg(rng)
+        assert len(fg.variables) == 9
+        with pytest.raises(ValueError, match=f"^got {n_priors} priors for 9 variables$"):
+            e_step(fg, ModelParams(0.03, 0.3, np.full(n_priors, 0.5)), method)
 
     @pytest.mark.parametrize("method", list(InferenceMethod))
     def test_each_back_end_builds_the_rows_once(self, rng, monkeypatch, method):
@@ -170,7 +178,7 @@ class TestLimits:
         assert EXACT_CLIQUE_LIMIT == 22
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="clique of 23 edges, over the limit of 22"):
+            with pytest.raises(ValueError, match="clique of 23 edges, over the limit of 22; use method bp$"):
                 exact_marginals(fg, uniform_params(fg.variables))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -210,7 +218,7 @@ class TestBatchedMatchesReference:
     def test_mixed_cycle_sizes(self, rng, damping):
         for _ in range(5):
             fg = mixed_k_fg(rng)
-            priors = {eid: float(rng.uniform(0.1, 0.9)) for eid in fg.variables}
+            priors = [float(rng.uniform(0.1, 0.9)) for _ in fg.variables]
             self.check(fg, ModelParams(0.03, 0.3, priors), damping)
 
     @pytest.mark.parametrize("damping", [0.0, 0.5])
@@ -224,8 +232,8 @@ class TestBatchedMatchesReference:
     @pytest.mark.parametrize("damping", [0.0, 0.5])
     def test_no_factors(self, damping):
         fg = FactorGraph((1,), ())
-        self.check(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping)
-        result = run_bp(fg, ModelParams(0.03, 0.3, {1: 0.3}), damping=damping)
+        self.check(fg, ModelParams(0.03, 0.3, [0.3]), damping)
+        result = run_bp(fg, ModelParams(0.03, 0.3, [0.3]), damping=damping)
         assert result.edge_marginals == {1: pytest.approx(0.3)}
         assert result.count_marginals.shape == (0,)
 
@@ -274,7 +282,7 @@ class TestSlotBatchMatchesPerSlot:
 class TestVarToFactor:
     def test_single_cycle_message_is_prior(self):
         fg = single_cycle_fg()
-        p = ModelParams(0.03, 0.3, {0: 0.8, 1: 0.5, 2: 0.5})
+        p = ModelParams(0.03, 0.3, [0.8, 0.5, 0.5])
         state = init_messages(fg, p)
         msg = var_to_factor(state, fg, p, 0, 0)
         assert msg == pytest.approx([0.8, 0.2])
@@ -340,12 +348,11 @@ class TestRunBp:
         # cycle's own conditional
         for _ in range(5):
             k = int(rng.integers(1, 5))
-            priors = {i: float(rng.uniform(0.2, 0.9)) for i in range(k)}
-            p = ModelParams(0.03, 0.3, priors)
+            p = ModelParams(0.03, 0.3, rng.uniform(0.2, 0.9, k))
             fg = single_cycle_fg(z=float(rng.uniform(0, 0.8)), k=k, n_fixed=1)
             result = run_bp(fg, p, tol=1e-10)
             assert result.converged
-            dist = cycle_conditional(fg.factors[0], p)
+            dist = cycle_conditional(fg.factors[0], p, fg.variables)
             for j, eid in enumerate(fg.factors[0].lc_members):
                 assert result.edge_marginals[eid] == pytest.approx(
                     inlier_marginal(dist, j), abs=1e-8
@@ -374,7 +381,7 @@ class TestRunBp:
             CycleFactor(1, (2, 3, 4), 2, 0.05),
         )
         fg = FactorGraph((0, 1, 2, 3, 4), factors)
-        p = ModelParams(0.03, 0.3, {0: 0.9, 1: 0.8, 2: 0.7, 3: 0.9, 4: 0.6})
+        p = ModelParams(0.03, 0.3, [0.9, 0.8, 0.7, 0.9, 0.6])
         result = run_bp(fg, p)
         assert result.converged
         assert mean_count_gaps(fg, result).max() <= 1e-6
@@ -384,7 +391,7 @@ class TestRunBp:
         # MESSAGE_FLOOR, and at z = pi the weights underflow to 0 at s = 0
         # and s = 1, so only the floor on the weights keeps the total above 0
         fg = single_cycle_fg(z=math.pi, k=DEFAULT_LC_CAP, n_fixed=0)
-        p = ModelParams(0.01, 0.03, {eid: 1.0 for eid in fg.variables})
+        p = ModelParams(0.01, 0.03, np.ones(len(fg.variables)))
         state = init_messages(fg, p)
         assert var_to_factor(state, fg, p, 0, 0)[1] == MESSAGE_FLOOR
         weights = likelihood_weights(fg.factors[0], p)
@@ -489,7 +496,7 @@ class TestRunBp:
 
     def test_uncovered_variable_keeps_prior(self):
         fg = FactorGraph((0, 1, 9), (CycleFactor(0, (0, 1), 0, 0.1),))
-        p = ModelParams(0.03, 0.3, {0: 0.5, 1: 0.5, 9: 0.83})
+        p = ModelParams(0.03, 0.3, [0.5, 0.5, 0.83])
         result = run_bp(fg, p)
         assert result.edge_marginals[9] == pytest.approx(0.83)
 
@@ -497,7 +504,7 @@ class TestRunBp:
         fg = single_cycle_fg(z=0.3, k=2, n_fixed=1)
         p = uniform_params((0, 1), prior=0.6)
         result = run_bp(fg, p, tol=1e-10)
-        expected = fold_by_count([cycle_conditional(fg.factors[0], p)])
+        expected = fold_by_count([cycle_conditional(fg.factors[0], p, fg.variables)])
         assert result.count_marginals == pytest.approx(expected, abs=1e-8)
 
 

@@ -16,15 +16,17 @@ from loopsieve.em import (
     e_step,
     m_step_priors,
     m_step_sigmas,
+    q_value,
     run_em,
 )
 from loopsieve.factorgraph import (
     FactorGraph,
     InferenceMethod,
+    InferenceResult,
     build_factor_graph,
     exact_marginals,
 )
-from loopsieve.graph import EdgeKind
+from loopsieve.graph import loop_closure_edges
 from loopsieve.model import CycleFactor, ModelParams, log_likelihood_rows
 from reference import (
     cycle_conditional,
@@ -38,7 +40,7 @@ SIGMA_BAR_TRUE = math.radians(20.0)
 
 
 def lc_priors(g, value=0.5):
-    return {e.id: value for e in g.edges if e.kind is EdgeKind.LOOP_CLOSURE}
+    return np.full(len(loop_closure_edges(g)), value)
 
 
 def expected_cycle_term(factor, count_marginals, params):
@@ -129,7 +131,7 @@ class TestEStep:
         fg = FactorGraph((0, 1), (f,))
         p = uniform_params((0, 1), prior=0.6)
         result = e_step(fg, p, InferenceMethod.EXACT)
-        expected = cycle_conditional(f, p)
+        expected = cycle_conditional(f, p, fg.variables)
         assert result.count_marginals == pytest.approx(fold_by_count([expected]), abs=1e-12)
         for j, eid in enumerate(f.lc_members):
             assert result.edge_marginals[eid] == pytest.approx(
@@ -175,7 +177,7 @@ class TestEStep:
 
     def test_uncycled_edge_keeps_prior(self):
         fg = FactorGraph((0, 1, 5), (CycleFactor(0, (0, 1), 0, 0.1),))
-        p = ModelParams(0.03, 0.3, {0: 0.5, 1: 0.5, 5: 0.9})
+        p = ModelParams(0.03, 0.3, [0.5, 0.5, 0.9])
         for method in InferenceMethod:
             result = e_step(fg, p, method)
             assert result.edge_marginals[5] == pytest.approx(0.9, abs=1e-9)
@@ -197,24 +199,58 @@ class TestEStep:
 
 class TestMStepPriors:
     def test_sets_prior_to_responsibility(self):
-        p = ModelParams(0.03, 0.3, {1: 0.5, 2: 0.5})
-        new = m_step_priors({1: 0.9, 2: 0.2}, p)
-        assert new == {1: 0.9, 2: 0.2}
+        new = m_step_priors(np.array([0.9, 0.2]))
+        assert new.tolist() == [0.9, 0.2]
 
     def test_idempotent(self):
-        p = ModelParams(0.03, 0.3, {1: 0.9})
-        once = m_step_priors({1: 0.9}, p)
-        assert m_step_priors({1: 0.9}, ModelParams(0.03, 0.3, once)) == once
+        once = m_step_priors(np.array([0.9, 0.0, 1.0]))
+        assert m_step_priors(ModelParams(0.03, 0.3, once).priors).tolist() == once.tolist()
 
-    def test_missing_edge_keeps_old_prior(self):
-        p = ModelParams(0.03, 0.3, {1: 0.42})
-        assert m_step_priors({}, p) == {1: 0.42}
+    def test_clips_into_the_unit_interval(self):
+        assert m_step_priors(np.array([-1e-17, 1.0 + 2e-16])).tolist() == [0.0, 1.0]
+
+
+def reference_q_value(variables, result, params, cycle_term):
+    """The Q value one edge at a time, by math.log and math.log1p."""
+    total = 0.0
+    for eid, pi in zip(variables, params.priors.tolist()):
+        gamma = result.edge_marginals[eid]
+        if gamma > 0.0:
+            total += gamma * (math.log(pi) if pi > 0 else -math.inf)
+        if gamma < 1.0:
+            total += (1.0 - gamma) * (math.log1p(-pi) if pi < 1 else -math.inf)
+    return total + cycle_term
+
+
+class TestQValue:
+    def result(self, marginals):
+        variables = tuple(range(len(marginals)))
+        return InferenceResult(variables, np.array(marginals), np.zeros(0), True, 1)
+
+    def test_matches_the_per_edge_sum(self, rng):
+        for n in (0, 1, 5, 40):
+            result = self.result(rng.uniform(0, 1, n))
+            params = ModelParams(0.03, 0.3, rng.uniform(0.05, 0.95, n))
+            expected = reference_q_value(result.variables, result, params, -3.5)
+            assert q_value(result, params, -3.5) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    def test_certain_terms_add_nothing_where_their_weight_is_zero(self):
+        # a prior of 0 or 1 has a log of -inf; a responsibility of exactly
+        # 0 or 1 on that side drops the term instead of making it NaN
+        result = self.result([0.0, 1.0, 1.0])
+        params = ModelParams(0.03, 0.3, [0.0, 1.0, 0.5])
+        with np.errstate(all="raise"):
+            assert q_value(result, params, 0.0) == math.log(0.5)
+
+    def test_impossible_responsibility_is_minus_infinity(self):
+        result = self.result([0.5])
+        assert q_value(result, ModelParams(0.03, 0.3, [1.0]), 0.0) == -math.inf
 
 
 class TestMStepSigmas:
     def test_single_grid_point(self):
         f = CycleFactor(0, (0, 1), 0, 0.1)
-        counts = fold_by_count([cycle_conditional(f, uniform_params((0, 1)))])
+        counts = fold_by_count([cycle_conditional(f, uniform_params((0, 1)), (0, 1))])
         cfg = EmConfig(sigma_grid=(0.02,), sigma_bar_grid=(0.25,))
         assert m_step(counts, (f,), cfg)[0] == (0.02, 0.25)
 
@@ -268,10 +304,9 @@ class TestMStepSigmas:
         # the objective folded to outlier counts must equal the full 2^k sum
         for _ in range(5):
             k = int(rng.integers(1, 5))
-            priors = {i: float(rng.uniform(0.2, 0.8)) for i in range(k)}
-            p = ModelParams(0.02, 0.3, priors)
+            p = ModelParams(0.02, 0.3, rng.uniform(0.2, 0.8, k))
             f = CycleFactor(0, tuple(range(k)), 1, float(rng.uniform(0, 1)))
-            belief = cycle_conditional(f, p)
+            belief = cycle_conditional(f, p, f.lc_members)
             candidate = ModelParams(0.03, 0.25)
             folded = expected_cycle_term(f, fold_by_count([belief]), candidate)
             naive = sum(
@@ -335,10 +370,7 @@ class TestRunEm:
             for j in range(n_graphs)
         ]
         fg = pooled_factor_graph(graphs)
-        priors = {}
-        for g in graphs:
-            priors.update(lc_priors(g))
-        return fg, priors
+        return fg, np.full(len(fg.variables), 0.5)
 
     def test_recovery_within_one_grid_step(self):
         fg, priors = self.build_pooled(master=0)
@@ -371,7 +403,7 @@ class TestRunEm:
         init = ModelParams(math.radians(4), math.radians(30), priors)
         cfg = EmConfig(max_rounds=3, inference=InferenceMethod.EXACT, freeze_priors=True)
         params, _, _ = run_em(fg, init, cfg)
-        assert params.priors == dict(priors)
+        assert params.priors.tolist() == priors.tolist()
 
     def test_approximate_estep_runs(self):
         g = gaussian_model_graph(8, 2, 6, SIGMA_TRUE, SIGMA_BAR_TRUE, seed=5)
@@ -455,7 +487,7 @@ class TestRunEm:
     @pytest.mark.parametrize("method", list(InferenceMethod))
     @pytest.mark.parametrize("fg", [FactorGraph((1,), ()), FactorGraph((), ())])
     def test_empty_graph_returns_first_grid_pair(self, fg, method):
-        init = ModelParams(math.radians(3), math.radians(25), {eid: 0.5 for eid in fg.variables})
+        init = ModelParams(math.radians(3), math.radians(25), np.full(len(fg.variables), 0.5))
         cfg = EmConfig(inference=method)
         params, trace, final = run_em(fg, init, cfg)
         assert (params.sigma, params.sigma_bar) == (math.radians(0.5), math.radians(5.0))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import mean_count_gaps
 from loopsieve import infer_admm
 from loopsieve.cycles import minimum_cycle_basis
-from loopsieve.em import EmConfig, run_em
+from loopsieve.em import EmConfig, e_step, run_em
 from loopsieve.factorgraph import FactorGraph, InferenceMethod, build_factor_graph, exact_marginals
 from loopsieve.infer_bp import DEFAULT_DAMPING, run_bp
 from loopsieve.model import CycleFactor, ModelParams
@@ -53,7 +53,7 @@ def factor_graphs(draw):
             z = draw(st.floats(0.0, math.pi))
             factors.append(CycleFactor(len(factors), tuple(members), draw(st.integers(0, 3)), z))
     prior = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
-    priors = {eid: draw(prior) for eid in ids}
+    priors = [draw(prior) for _ in ids]
     sigma = draw(st.sampled_from([0.01, math.radians(2.0), 0.2]))
     params = ModelParams(sigma, sigma * draw(st.sampled_from([3.0, 10.0])), priors)
     return FactorGraph(tuple(ids), tuple(factors)), params
@@ -88,11 +88,11 @@ class TestMatchesFullLengthEnumeration:
         # messages sent down the elimination tree; no RuntimeWarning may
         # escape (pyproject.toml makes one an error)
         fg, params = desk_suite_block()
-        certain = {eid: (0.0, 1.0, params.prior(eid))[i % 3] for i, eid in enumerate(fg.variables)}
+        certain = [(0.0, 1.0, p)[i % 3] for i, p in enumerate(params.priors.tolist())]
         params = ModelParams(params.sigma, params.sigma_bar, certain)
         result = exact_marginals(fg, params)
         assert_matches_reference(result, reference_exact_marginals(fg, params))
-        for eid, p in certain.items():
+        for eid, p in zip(fg.variables, certain):
             if p in (0.0, 1.0):
                 assert result.edge_marginals[eid] == p
 
@@ -203,3 +203,36 @@ def test_twenty_variable_block_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20
+
+
+ORDER_GRAPHS = [
+    SynthSpec(m_lc=10, num_outliers=2, nodes_per_map=6, seed=1),
+    SynthSpec(m_lc=20, num_outliers=4, nodes_per_map=8, seed=2),
+    SynthSpec(m_lc=30, num_outliers=6, seed=3),
+    SynthSpec(m_lc=20, num_outliers=5, nodes_per_map=6, num_maps=3, seed=4),
+    SynthSpec(m_lc=40, num_outliers=8, seed=5),
+    SynthSpec(m_lc=25, num_outliers=6, nodes_per_map=8, num_maps=3, seed=6),
+]
+
+
+class TestVariableOrder:
+    """The back-ends read positions, not edge ids: listing the variables in
+    another order, with the priors in that order too, changes no output bit.
+    Exact breaks elimination ties on edge ids, so its cliques do not depend
+    on the order either."""
+
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    @pytest.mark.parametrize("spec", ORDER_GRAPHS, ids=lambda s: f"m{s.m_lc}-maps{s.num_maps}-seed{s.seed}")
+    def test_permuted_variables_give_identical_outputs(self, spec, method):
+        g = generate(spec)
+        fg = build_factor_graph(g, minimum_cycle_basis(g))
+        rng = np.random.default_rng(spec.seed)
+        params = ModelParams(math.radians(2.0), math.radians(20.0), rng.uniform(0.2, 0.9, len(fg.variables)))
+        order = rng.permutation(len(fg.variables))
+        permuted = FactorGraph(tuple(fg.variables[i] for i in order), fg.factors)
+        assert permuted.variables != fg.variables
+        moved = ModelParams(params.sigma, params.sigma_bar, params.priors[order])
+        a, b = e_step(fg, params, method), e_step(permuted, moved, method)
+        assert a.edge_marginals == b.edge_marginals
+        assert a.count_marginals.tolist() == b.count_marginals.tolist()
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)

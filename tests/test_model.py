@@ -36,15 +36,41 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(0.1, 0.1)
 
-    def test_prior_lookup(self):
-        p = ModelParams(0.03, 0.3, {5: 0.7})
-        assert p.prior(5) == 0.7
-        with pytest.raises(KeyError):
-            p.prior(6)
+    def test_priors_are_a_read_only_copy_in_order(self):
+        source = np.array([0.7, 0.2, 1.0])
+        p = ModelParams(0.03, 0.3, source)
+        assert p.priors.dtype == np.float64
+        assert p.priors.tolist() == [0.7, 0.2, 1.0]
+        assert p.priors is not source
+        source[0] = 0.1
+        assert p.priors[0] == 0.7
+        with pytest.raises(ValueError):
+            p.priors[0] = 0.5
 
     def test_prior_range_checked(self):
-        with pytest.raises(ValueError):
-            ModelParams(0.03, 0.3, {1: 1.2})
+        for bad in (1.2, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"position 1 must be in \\[0, 1\\], got {bad}"):
+                ModelParams(0.03, 0.3, [0.5, bad, 0.5])
+        assert ModelParams(0.03, 0.3, [0.0, 1.0]).priors.tolist() == [0.0, 1.0]
+
+    def test_mapping_refused(self):
+        with pytest.raises(TypeError, match="array in FactorGraph.variables order"):
+            ModelParams(0.03, 0.3, {5: 0.7})
+
+    def test_two_dimensional_refused(self):
+        with pytest.raises(ValueError, match=r"1-D, got shape \(1, 2\)"):
+            ModelParams(0.03, 0.3, [[0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"1-D, got shape \(\)"):
+            ModelParams(0.03, 0.3, 0.5)
+
+    def test_default_priors_are_empty(self):
+        assert ModelParams(0.03, 0.3).priors.shape == (0,)
+
+    def test_from_graph_reads_loop_closure_order(self):
+        g = make_graph(3, [(7, 0, 1, np.eye(3), EdgeKind.LOOP_CLOSURE, 0.3),
+                           (2, 1, 2, np.eye(3), EdgeKind.EGO),
+                           (4, 0, 2, np.eye(3), EdgeKind.LOOP_CLOSURE, 0.9)])
+        assert ModelParams.from_graph(g, 0.03, 0.3).priors.tolist() == [0.9, 0.3]
 
 
 class TestTruncatedMass:
@@ -116,7 +142,7 @@ class TestLogCycleLikelihood:
         # the conditional get identical values
         p = uniform_params((0, 1, 2), prior=0.37)
         f = CycleFactor(0, (0, 1, 2), 1, 0.12)
-        dist = cycle_conditional(f, p)
+        dist = cycle_conditional(f, p, f.lc_members)
         by_count = {}
         for mask in range(8):
             by_count.setdefault(bin(mask).count("1"), []).append(dist[mask])
@@ -169,20 +195,19 @@ class TestCycleConditionals:
     def test_batch_equals_stacked_conditionals(self, rng, k):
         # priors of exactly 0 and 1 put -inf into the log terms
         choices = np.array([0.0, 1.0, 0.3, 0.5, 0.9])
-        priors = {}
-        factors = []
+        variables, priors, factors = [], [], []
         for i in range(40):
             members = tuple(range(10 * i, 10 * i + k))
             for eid in members:
-                priors[eid] = float(rng.choice(choices)) if i % 2 else float(rng.uniform(0, 1))
+                variables.append(eid)
+                priors.append(float(rng.choice(choices)) if i % 2 else float(rng.uniform(0, 1)))
             factors.append(
                 CycleFactor(i, members, int(rng.integers(0, 4)), float(rng.uniform(0, 1.5)))
             )
         p = ModelParams(math.radians(2.0), math.radians(20.0), priors)
         log_rows = log_likelihood_rows(factors, [(p.sigma, p.sigma_bar)])[0]
-        member_priors = np.array([[p.prior(e) for e in f.lc_members] for f in factors])
-        batch = cycle_conditionals(log_rows.reshape(len(factors), k + 1), member_priors)
-        stacked = np.stack([cycle_conditional(f, p) for f in factors])
+        batch = cycle_conditionals(log_rows.reshape(len(factors), k + 1), p.priors.reshape(40, k))
+        stacked = np.stack([cycle_conditional(f, p, variables) for f in factors])
         assert batch.shape == (len(factors), 1 << k)
         assert np.array_equal(batch, stacked)
 
@@ -200,13 +225,13 @@ class TestCycleConditional:
     def test_zero_error_single_member_prefers_inlier(self):
         p = uniform_params((0,))
         f = CycleFactor(0, (0,), 2, 0.0)
-        dist = cycle_conditional(f, p)
+        dist = cycle_conditional(f, p, f.lc_members)
         assert dist[0] > dist[1]
 
     def test_certain_priors_put_mass_on_zero_mask(self):
         p = uniform_params((0, 1), prior=1.0)
         f = CycleFactor(0, (0, 1), 0, 0.2)
-        dist = cycle_conditional(f, p)
+        dist = cycle_conditional(f, p, f.lc_members)
         assert dist[0] == pytest.approx(1.0)
         assert np.all(dist[1:] == 0.0)
 
@@ -214,10 +239,10 @@ class TestCycleConditional:
         # oracle: explicit product of prior and likelihood per mask
         for _ in range(10):
             k = int(rng.integers(1, 5))
-            priors = {i: float(rng.uniform(0.05, 0.95)) for i in range(k)}
+            priors = rng.uniform(0.05, 0.95, k).tolist()
             p = ModelParams(0.03, 0.3, priors)
             f = CycleFactor(0, tuple(range(k)), int(rng.integers(0, 3)), float(rng.uniform(0, 1.5)))
-            dist = cycle_conditional(f, p)
+            dist = cycle_conditional(f, p, f.lc_members)
             raw = np.zeros(1 << k)
             for mask in range(1 << k):
                 s = bin(mask).count("1")
@@ -228,12 +253,11 @@ class TestCycleConditional:
             assert np.allclose(dist, raw / raw.sum(), atol=1e-12)
 
     def test_permutation_equivariance(self):
-        priors = {0: 0.2, 1: 0.6, 2: 0.9}
-        p = ModelParams(0.03, 0.3, priors)
+        p = ModelParams(0.03, 0.3, [0.2, 0.6, 0.9])
         f = CycleFactor(0, (0, 1, 2), 0, 0.4)
         g = CycleFactor(0, (2, 0, 1), 0, 0.4)
-        d_f = cycle_conditional(f, p)
-        d_g = cycle_conditional(g, p)
+        d_f = cycle_conditional(f, p, (0, 1, 2))
+        d_g = cycle_conditional(g, p, (0, 1, 2))
         # member j of g is member (j+2) % 3 of f: remap mask bits
         for mask in range(8):
             remapped = ((mask >> 1) & 0b11) | ((mask & 1) << 2)
@@ -244,7 +268,7 @@ class TestCycleConditional:
         masses = []
         for z in np.linspace(0.0, 1.2, 13):
             f = CycleFactor(0, (0, 1), 2, float(z))
-            masses.append(cycle_conditional(f, p)[0])
+            masses.append(cycle_conditional(f, p, f.lc_members)[0])
         assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
 
     def test_scale_invariance_of_distribution(self):
@@ -252,7 +276,7 @@ class TestCycleConditional:
         # since the distribution normalizes
         p = uniform_params((0, 1, 2))
         f = CycleFactor(0, (0, 1, 2), 1, 0.3)
-        d = cycle_conditional(f, p)
+        d = cycle_conditional(f, p, f.lc_members)
         assert d.sum() == pytest.approx(1.0)
 
 
@@ -301,7 +325,7 @@ class TestJointLogDensity:
         rots = [exp_so3(rng.normal(0, 0.1, 3)) for _ in range(3)]
         g = make_graph(3, [(0, 0, 1, rots[0]), (1, 1, 2, rots[1]), (2, 0, 2, rots[2])])
         basis = minimum_cycle_basis(g)
-        p = ModelParams(0.03, 0.3, {0: 0.4, 1: 0.6, 2: 0.7})
+        p = ModelParams(0.03, 0.3, [0.4, 0.6, 0.7])
         factor = factors_from_basis(g, basis)[0]
         weights = {}
         for assignment in itertools.product((0, 1), repeat=3):
@@ -309,7 +333,7 @@ class TestJointLogDensity:
             weights[assignment] = math.exp(joint_log_density(g, basis, x, p))
         total = sum(weights.values())
         marginal0 = sum(v for a, v in weights.items() if a[0] == 0) / total
-        dist = cycle_conditional(factor, p)
+        dist = cycle_conditional(factor, p, (0, 1, 2))
         member_index = factor.lc_members.index(0)
         assert marginal0 == pytest.approx(inlier_marginal(dist, member_index), abs=1e-10)
 
