@@ -29,7 +29,7 @@ DEFAULT_SIGMA_BAR_DEG = 20.0
 DEFAULT_SIGMA = math.radians(DEFAULT_SIGMA_DEG)
 DEFAULT_SIGMA_BAR = math.radians(DEFAULT_SIGMA_BAR_DEG)
 DEFAULT_THRESHOLD = 0.5
-DEFAULT_METHOD = InferenceMethod.ADMM
+DEFAULT_METHOD = InferenceMethod.EXACT
 
 CSV_HEADER = "graph_id,m,outliers,method,tp,fp,fn,tn,precision,recall,f1,converged,iters,ms"
 

@@ -4,11 +4,12 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import loop_closure_ring
-from loopsieve import bench
+from loopsieve import bench, cli
 from loopsieve.cli import main
 from loopsieve.factorgraph import InferenceMethod
 from loopsieve.graph import graph_to_text, parse_graph
 from loopsieve.infer_admm import DEFAULT_LC_CAP
+from loopsieve.model import ModelParams
 from loopsieve.synth import SynthSpec, generate
 
 
@@ -166,6 +167,50 @@ def test_classify_defaults_are_bench_classify(tmp_path):
         [str(call.edge_id), f"{call.p_inlier:.9f}", call.predicted.value]
         for call in expected.edges
     ]
+
+
+@pytest.mark.parametrize("command", ["classify", "infer"])
+def test_default_method_is_exact(tmp_path, command):
+    assert bench.DEFAULT_METHOD is InferenceMethod.EXACT
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+    runner = CliRunner()
+    default = runner.invoke(main, [command, str(graph_file)])
+    exact = runner.invoke(main, [command, str(graph_file), "--method", "exact"])
+    assert default.exit_code == exact.exit_code == 0, default.output
+    assert default.output == exact.output
+
+
+def test_clique_over_the_limit_names_bp_and_bp_runs(tmp_path):
+    # five maps at m = 200: min-fill elimination needs a 24-edge clique
+    graph_file = tmp_path / "g5.pgraph"
+    runner = CliRunner()
+    result = runner.invoke(main, [
+        "synth", "--m", "200", "--outliers", "40", "--maps", "5", "--seed", "1",
+        "-o", str(graph_file),
+    ])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["classify", str(graph_file)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "Error: exact inference needs an elimination clique of 24 edges, over the limit "
+        "of 22; use method bp"
+    ]
+    result = runner.invoke(main, ["classify", str(graph_file), "--method", "bp"])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("method", [m.value for m in InferenceMethod])
+def test_prior_array_of_the_wrong_length_fails_with_one_line(tmp_path, monkeypatch, method):
+    graph_file = write_small_graph(tmp_path / "g.pgraph")
+
+    def short(g, sigma_deg, sigma_bar_deg):
+        params = ModelParams.from_graph(g, math.radians(sigma_deg), math.radians(sigma_bar_deg))
+        return ModelParams(params.sigma, params.sigma_bar, params.priors[1:])
+
+    monkeypatch.setattr(cli, "_params_from", short)
+    result = CliRunner().invoke(main, ["classify", str(graph_file), "--method", method])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == ["Error: got 7 priors for 8 variables"]
 
 
 def test_classify_cycle_over_cap_fails_with_one_line(tmp_path):
