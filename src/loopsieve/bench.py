@@ -136,7 +136,7 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchRow:
     graph_id: str
     m: int

@@ -183,7 +183,7 @@ class FactorGraph:
         return _read_only(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InferenceResult:
     """Marginals from any back-end, in a common shape.
 

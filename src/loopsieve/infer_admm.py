@@ -134,7 +134,7 @@ class AdmmIterationStats:
     w_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdmmResult(InferenceResult):
     primal_residual: float = float("nan")
     dual_residual: float = float("nan")

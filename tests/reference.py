@@ -40,7 +40,15 @@ from loopsieve.cycles import (
 from loopsieve.factorgraph import FactorGraph, InferenceResult
 from loopsieve.graph import EdgeKind, PoseGraph, loop_closure_edges
 from loopsieve.infer_admm import _project_rows
-from loopsieve.infer_bp import DEFAULT_MAX_ITERS, DEFAULT_TOL, MESSAGE_FLOOR, _normalize
+from loopsieve.infer_bp import (
+    DEFAULT_DAMPING,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
+    MESSAGE_FLOOR,
+    _excluded_slots,
+    _factor_messages,
+    _normalize,
+)
 from loopsieve.model import (
     CycleFactor,
     ModelParams,
@@ -670,47 +678,99 @@ def reference_factor_messages(
     return out
 
 
-def reference_bp(fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
+def reference_bp(
+    fg, params, damping, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL, always_damped=False
+):
     """BP one message at a time: all factor messages from the old variable
     messages, then all variable messages from the new factor messages.
 
+    As in `run_bp`, updates start undamped, and from the third iteration on
+    the first rise of the residual damps the rest of the run; always_damped
+    damps every update instead.
+
     Returns (edge marginals, count marginals, iterations, converged).
     """
-
-    def blend(old, fresh):
-        mixed = np.maximum(damping * old + (1.0 - damping) * fresh, MESSAGE_FLOOR)
-        return mixed / mixed.sum()
-
     state = init_messages(fg, params)
     weights = [likelihood_weights(f, params) for f in fg.factors]
     converged = False
+    damped = always_damped
+    last_delta = math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
         delta = 0.0
         for f_idx, factor in enumerate(fg.factors):
             for eid in factor.lc_members:
                 old = state.to_var[(f_idx, eid)]
-                new = blend(old, factor_to_var(state, fg, params, f_idx, eid, weights[f_idx]))
+                new = factor_to_var(state, fg, params, f_idx, eid, weights[f_idx])
+                if damped:
+                    new = damping * old + (1.0 - damping) * new
                 delta = max(delta, float(np.max(np.abs(new - old))))
                 state.to_var[(f_idx, eid)] = new
         for eid in fg.variables:
             for f_idx in var_factors(fg)[eid]:
                 old = state.to_factor[(eid, f_idx)]
-                new = blend(old, var_to_factor(state, fg, params, eid, f_idx))
+                new = var_to_factor(state, fg, params, eid, f_idx)
+                if damped:
+                    new = damping * old + (1.0 - damping) * new
                 delta = max(delta, float(np.max(np.abs(new - old))))
                 state.to_factor[(eid, f_idx)] = new
         if delta < tol:
             converged = True
             break
+        damped = damped or (iterations >= 3 and delta > last_delta)
+        last_delta = delta
 
     marginals = {}
     for eid in fg.variables:
         belief = prior_message(fg, params, eid)
         for f_idx in var_factors(fg)[eid]:
             belief = belief * state.to_var[(f_idx, eid)]
+            belief = belief / belief.max()
         marginals[eid] = belief[0] / belief.sum()
     counts = fold_by_count(factor_beliefs(state, fg, params))
     return marginals, counts, iterations, converged
+
+
+def always_damped_bp(fg, params, damping=DEFAULT_DAMPING, max_iters=DEFAULT_MAX_ITERS, tol=DEFAULT_TOL):
+    """`run_bp`'s batched arithmetic with every update damped from the first
+    iteration: the schedule `run_bp` had before it damped only once its
+    residual rose, kept as the oracle for its convergence and fixed point.
+
+    Returns (marginals in variables order, iterations, converged).
+    """
+    groups = fg.cycle_groups
+    rows, pi = fg.evidence(params)
+    weights = [np.exp(t - t.max(axis=1, keepdims=True)) for t in (rows[g.count_rows] for g in groups)]
+    slots = [_excluded_slots(g.rows) for g in groups]
+    n_inc = len(fg.incidence_var)
+    prior = np.stack([pi, 1.0 - pi], axis=1)
+    inc_prior = prior[fg.incidence_var]
+    others = fg.var_incidences[fg.incidence_var]
+    others[others == np.arange(n_inc)[:, None]] = n_inc
+    to_var = np.full((n_inc + 1, 2), 0.5)
+    to_var[n_inc] = 1.0
+    to_factor = inc_prior
+    delta = math.inf
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        fresh = np.empty((n_inc, 2))
+        for group, index, w in zip(groups, slots, weights):
+            fresh[group.rows] = _factor_messages(to_factor, index, w)
+        new = damping * to_var[:n_inc] + (1.0 - damping) * _normalize(fresh)
+        delta = float(np.abs(new - to_var[:n_inc]).max(initial=0.0))
+        to_var[:n_inc] = new
+        fresh = inc_prior
+        for d in range(others.shape[1]):
+            fresh = fresh * to_var[others[:, d]]
+        new = damping * to_factor + (1.0 - damping) * _normalize(fresh)
+        delta = max(delta, float(np.abs(new - to_factor).max(initial=0.0)))
+        to_factor = new
+        if delta < tol:
+            break
+    belief = prior
+    for d in range(fg.var_incidences.shape[1]):
+        belief = belief * to_var[fg.var_incidences[:, d]]
+    return _normalize(belief)[:, 0], iterations, delta < tol
 
 
 # --- ADMM's problem, solved whole ----------------------------------------

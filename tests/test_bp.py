@@ -27,8 +27,9 @@ from loopsieve.infer_bp import (
 from loopsieve.infer_admm import DEFAULT_LC_CAP
 from loopsieve.model import CycleFactor, ModelParams
 from loopsieve.cycles import minimum_cycle_basis
-from loopsieve.synth import SynthSpec, generate
+from loopsieve.synth import SynthSpec, generate, suite_specs
 from reference import (
+    always_damped_bp,
     cycle_conditional,
     factor_to_var,
     factor_to_var_enumerated,
@@ -48,6 +49,27 @@ from reference import (
 
 def single_cycle_fg(z=0.3, k=3, n_fixed=2):
     return FactorGraph(tuple(range(k)), (CycleFactor(0, tuple(range(k)), n_fixed, z),))
+
+
+def random_loopy_graphs(n, seed=0):
+    """n random factor graphs, most of them loopy: 3-11 variables and 2-13
+    factors of 1-6 distinct random members. Each z is uniform on [0, pi] or
+    |N(0, 0.1)| by a fair coin, n_fixed is 0-3, sigma is one of 0.01, 0.035
+    and 0.1, sigma_bar is 3 or 10 sigma, and priors are U(0.05, 0.95)."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(n):
+        n_vars = int(rng.integers(3, 12))
+        factors = []
+        for c in range(int(rng.integers(2, 14))):
+            size = min(int(rng.integers(1, 7)), n_vars)
+            members = tuple(rng.choice(n_vars, size=size, replace=False).tolist())
+            z = float(rng.uniform(0.0, math.pi)) if rng.random() < 0.5 else abs(float(rng.normal(0.0, 0.1)))
+            factors.append(CycleFactor(c, members, int(rng.integers(0, 4)), z))
+        sigma = float(rng.choice([0.01, 0.035, 0.1]))
+        p = ModelParams(sigma, sigma * float(rng.choice([3.0, 10.0])), rng.uniform(0.05, 0.95, n_vars))
+        graphs.append((FactorGraph(tuple(range(n_vars)), tuple(factors)), p))
+    return graphs
 
 
 def mixed_k_fg(rng):
@@ -230,12 +252,82 @@ class TestBatchedMatchesReference:
         self.check(fg, ModelParams.from_graph(g, math.radians(2), math.radians(20)), damping)
 
     @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_always_damped_oracle(self, rng, damping):
+        # the batched oracle below runs the per-message loop's arithmetic
+        for _ in range(5):
+            fg = mixed_k_fg(rng)
+            p = ModelParams(0.03, 0.3, rng.uniform(0.1, 0.9, len(fg.variables)))
+            marginals, _, iterations, converged = reference_bp(fg, p, damping, always_damped=True)
+            oracle, oracle_iterations, oracle_converged = always_damped_bp(fg, p, damping)
+            assert (oracle_iterations, oracle_converged) == (iterations, converged)
+            expected = [marginals[eid] for eid in fg.variables]
+            assert np.abs(oracle - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
     def test_no_factors(self, damping):
         fg = FactorGraph((1,), ())
         self.check(fg, ModelParams(0.03, 0.3, [0.3]), damping)
         result = run_bp(fg, ModelParams(0.03, 0.3, [0.3]), damping=damping)
         assert result.edge_marginals == {1: pytest.approx(0.3)}
         assert result.count_marginals.shape == (0,)
+
+
+class TestDampingSwitch:
+    """run_bp damps only once its residual rises; the always-damped schedule
+    it replaced stays in tests/reference.py as the oracle."""
+
+    def test_converges_wherever_always_damped_does(self):
+        lost, converged = [], 0
+        for i, (fg, p) in enumerate(random_loopy_graphs(300)):
+            if always_damped_bp(fg, p)[2]:
+                converged += 1
+                if not run_bp(fg, p).converged:
+                    lost.append(i)
+        assert lost == []
+        assert converged >= 280
+
+    def test_graph_where_undamped_flooding_oscillates(self):
+        # graph 101 of random_loopy_graphs(300)
+        factors = (
+            CycleFactor(0, (2, 0, 1), 2, 2.5184037129156804),
+            CycleFactor(1, (2, 0, 1), 3, 2.176141824919956),
+            CycleFactor(2, (2, 0, 1), 0, 0.11449953672078324),
+            CycleFactor(3, (0, 2, 1), 1, 0.2080830266728544),
+            CycleFactor(4, (1, 0), 2, 0.0390467329782436),
+            CycleFactor(5, (1, 0, 2), 2, 0.3287462442121119),
+        )
+        fg = FactorGraph((0, 1, 2), factors)
+        priors = [0.8657548027085772, 0.4182684910355362, 0.3412762054227078]
+        p = ModelParams(0.035, 0.035 * 10.0, priors)
+        assert not run_bp(fg, p, damping=0.0).converged
+        result = run_bp(fg, p)
+        oracle, _, oracle_converged = always_damped_bp(fg, p)
+        assert result.converged and oracle_converged
+        assert np.abs(result.marginals - oracle).max() <= 1e-5
+
+    def test_desk_suite_fixed_point(self):
+        # the graphs the desk-suite benchmark screens with bp (seed 1)
+        for spec in suite_specs(range(10, 51, 5), seed=1, scale=1 / 20):
+            g = generate(spec)
+            fg = build_factor_graph(g, minimum_cycle_basis(g))
+            p = ModelParams.from_graph(g, DEFAULT_SIGMA, DEFAULT_SIGMA_BAR)
+            result = run_bp(fg, p)
+            oracle, oracle_iterations, oracle_converged = always_damped_bp(fg, p)
+            assert result.converged and oracle_converged
+            assert result.iterations < oracle_iterations
+            assert np.abs(result.marginals - oracle).max() <= 1e-5
+
+
+class TestResults:
+    @pytest.mark.parametrize("method", list(InferenceMethod))
+    def test_compare_and_hash_by_identity(self, rng, method):
+        # fields hold arrays: a generated __eq__ would raise on them and a
+        # generated __hash__ would refuse them
+        fg = mixed_k_fg(rng)
+        p = uniform_params(fg.variables)
+        a, b = e_step(fg, p, method), e_step(fg, p, method)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestSlotBatchMatchesPerSlot:
