@@ -253,7 +253,7 @@ class TestBatchedMatchesReference:
 
     @pytest.mark.parametrize("damping", [0.0, 0.5])
     def test_always_damped_oracle(self, rng, damping):
-        # the batched oracle below runs the per-message loop's arithmetic
+        # the batched oracle in reference.py runs the per-message loop's arithmetic
         for _ in range(5):
             fg = mixed_k_fg(rng)
             p = ModelParams(0.03, 0.3, rng.uniform(0.1, 0.9, len(fg.variables)))
